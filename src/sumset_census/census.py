@@ -1,18 +1,24 @@
 """Exhaustive census of iterated sumset sizes over all k-subsets of [1..q].
 
-One sweep visits every k-subset once, computes |iA| for i = 1..h_cap with the
-bitmap kernel, classifies the B_h order from the first deficit, and checks the
-collision-structure lemmas on the way: the deficit ladder below the first
-collision, the representation bound at order h_star + 1, and pairwise support
-disjointness of colliding vectors.  Per-order size histograms, population
-tallies and any violations are accumulated exactly.
+The sweep computes |iA| for i = 1..h_cap with the bitmap kernel, classifies
+the B_h order from the first deficit, and checks the collision-structure
+lemmas on the way: the deficit ladder below the first collision, the
+representation bound at order h_star + 1, and pairwise support disjointness
+of colliding vectors.  Per-order size histograms, population tallies and any
+violations are accumulated exactly.
 
-Work is partitioned by largest element into shards.  Shard tallies merge by
-plain addition and list concatenation followed by sorting, so the merged
-report is independent of the shard count and of whether shards ran inline or
-in worker processes.  Per subset, the collision scan recounts the sumset size
-at order h_star + 1 by composition enumeration; any disagreement with the
-bitmap kernel aborts the sweep.
+Every tallied figure depends on a subset only through its gap pattern up to
+reflection, so the sweep goes over gap patterns, evaluates one of each
+mirror pair, and counts it once per subset it stands for (see
+_census_shard).  Violations still name explicit subsets.
+
+Work is partitioned by span (largest minus smallest element) into shards.
+Shard tallies merge by plain addition and list concatenation followed by
+sorting, so the merged report is independent of the shard count and of
+whether shards ran inline or in worker processes.  Per evaluated pattern,
+the collision scan recounts the sumset size at order h_star + 1 by
+composition enumeration; any disagreement with the bitmap kernel aborts the
+sweep with InvariantError.
 """
 
 from __future__ import annotations
@@ -31,8 +37,8 @@ from .compositions import (
     multiset_count,
     tetrahedral,
 )
-from .engine import SetLike, elements_of, sumset_sizes
-from .guards import MAX_SUBSETS_ENV, require_budget, subset_budget
+from .engine import sumset_sizes
+from .guards import InvariantError, MAX_SUBSETS_ENV, require_budget, subset_budget
 
 DEFAULT_STRONG_RATIO = 10.0
 
@@ -174,122 +180,194 @@ class _ShardTally:
     rep_violations: list[RepBoundViolation]
     support_violations: list[SupportOverlapViolation]
 
+    @classmethod
+    def empty(cls, h_cap: int) -> "_ShardTally":
+        return cls(
+            hist=[Counter() for _ in range(h_cap)],
+            bstar=Counter(),
+            exceptional=Counter(),
+            rep_profile=Counter(),
+            capped=0,
+            subsets=0,
+            ladder_violations=[],
+            rep_violations=[],
+            support_violations=[],
+        )
+
+
+class _SetEvaluation(NamedTuple):
+    """Everything the census tallies about one set."""
+
+    sizes: list[int]
+    first_deficit: int
+    max_reps: int
+    ladder_violations: list[DeficitLadderViolation]
+    rep_violations: list[RepBoundViolation]
+    support_violations: list[SupportOverlapViolation]
+
+
+def _rep_bound(k: int) -> int:
+    """Largest representation count allowed at order h_star + 1."""
+    return (k + 1) // 2
+
+
+class _SetEvaluator:
+    """Sizes, B_h order and collision structure of single k-sets up to h_cap.
+
+    Holds the per-(k, h_cap) tables.  Every invariant check runs on every
+    evaluated set: persistent deficits, kernel size against enumerated size
+    at the first colliding fold, and a collision behind every deficit.
+    """
+
+    def __init__(self, k: int, h_cap: int):
+        self.k = k
+        self.h_cap = h_cap
+        self.m_of = [multiset_count(i, k) for i in range(h_cap + 1)]
+        self.tetra = [tetrahedral(j) for j in range(h_cap + 1)]
+        self.comp_of = {d: compositions_table(d, k) for d in range(2, h_cap + 1)}
+        # per composition: bitmask of occupied slots, for pairwise disjointness
+        self.supp_of = {
+            d: [sum(1 << i for i, v in enumerate(x) if v) for x in comps]
+            for d, comps in self.comp_of.items()
+        }
+        self.rep_bound = _rep_bound(k)
+
+    def evaluate(self, elems: tuple[int, ...]) -> _SetEvaluation:
+        h_cap = self.h_cap
+        m_of = self.m_of
+        # bitmap kernel, inlined: fold i lives in [i*min .. i*max],
+        # offset by i*min, so a fold is k shifts and k ors
+        base = elems[0]
+        shifts = [e - base for e in elems]
+        cur = 0
+        for s in shifts:
+            cur |= 1 << s
+        sizes = [cur.bit_count()]
+        for _ in range(h_cap - 1):
+            nxt = 0
+            for s in shifts:
+                nxt |= cur << s
+            cur = nxt
+            sizes.append(cur.bit_count())
+        first_deficit = 0
+        for i in range(1, h_cap + 1):
+            if sizes[i - 1] < m_of[i]:
+                if not first_deficit:
+                    first_deficit = i
+            elif first_deficit:
+                raise InvariantError(
+                    f"deficit at fold {first_deficit} of {elems} vanished at fold {i}"
+                )
+        ladder_v: list[DeficitLadderViolation] = []
+        rep_v: list[RepBoundViolation] = []
+        support_v: list[SupportOverlapViolation] = []
+        if not first_deficit:
+            return _SetEvaluation(sizes, 0, 0, ladder_v, rep_v, support_v)
+        h_star = first_deficit - 1
+        for step in range(1, h_cap - h_star + 1):
+            deficit = m_of[h_star + step] - sizes[h_star + step - 1]
+            if deficit < self.tetra[step]:
+                ladder_v.append(
+                    DeficitLadderViolation(elems, h_star, step, deficit, self.tetra[step])
+                )
+        # collision structure at the first colliding order
+        comps = self.comp_of[first_deficit]
+        seen: dict[int, int] = {}
+        dups: dict[int, list[int]] = {}
+        if self.k == 4:
+            e0, e1, e2, e3 = elems
+            for idx, x in enumerate(comps):
+                t = x[0] * e0 + x[1] * e1 + x[2] * e2 + x[3] * e3
+                if t in seen:
+                    dups.setdefault(t, [seen[t]]).append(idx)
+                else:
+                    seen[t] = idx
+        else:
+            for idx, x in enumerate(comps):
+                t = sum(c * e for c, e in zip(x, elems))
+                if t in seen:
+                    dups.setdefault(t, [seen[t]]).append(idx)
+                else:
+                    seen[t] = idx
+        if len(seen) != sizes[first_deficit - 1]:
+            raise InvariantError(
+                f"kernel size {sizes[first_deficit - 1]} != enumerated size "
+                f"{len(seen)} at fold {first_deficit} of {elems}"
+            )
+        if not dups:
+            raise InvariantError(
+                f"deficit at fold {first_deficit} of {elems} but no collision found"
+            )
+        supp = self.supp_of[first_deficit]
+        max_reps = 1
+        for t, idxs in dups.items():
+            r = len(idxs)
+            if r > max_reps:
+                max_reps = r
+            if r > self.rep_bound:
+                rep_v.append(RepBoundViolation(elems, h_star, t, r))
+            for i in range(r):
+                for j in range(i + 1, r):
+                    if supp[idxs[i]] & supp[idxs[j]]:
+                        support_v.append(
+                            SupportOverlapViolation(
+                                elems, h_star, t, comps[idxs[i]], comps[idxs[j]]
+                            )
+                        )
+        return _SetEvaluation(sizes, first_deficit, max_reps, ladder_v, rep_v, support_v)
+
+    def add(self, tally: _ShardTally, ev: _SetEvaluation, weight: int) -> None:
+        """Count one evaluated set weight times; violations are added as is."""
+        tally.subsets += weight
+        for i, size in enumerate(ev.sizes):
+            tally.hist[i][size] += weight
+        if not ev.first_deficit:
+            tally.capped += weight
+            return
+        h_star = ev.first_deficit - 1
+        tally.bstar[h_star] += weight
+        if self.m_of[ev.first_deficit] - ev.sizes[h_star] >= 2:
+            tally.exceptional[h_star] += weight
+        tally.rep_profile[(h_star, ev.max_reps)] += weight
+        tally.ladder_violations.extend(ev.ladder_violations)
+        tally.rep_violations.extend(ev.rep_violations)
+        tally.support_violations.extend(ev.support_violations)
+
 
 def _census_shard(args: tuple[int, int, int, int, int]) -> _ShardTally:
+    """Tally every k-subset of [1..q] whose span is shard_index modulo shards.
+
+    A subset is a translate of its gap pattern (0, s_1, ..., s_{k-2}, span),
+    and every tallied figure depends on the pattern only up to reflection
+    s -> span - s: translating adds c*i to every i-fold sum, and reflecting
+    reverses every composition, so sizes, collision group sizes and support
+    disjointness are unchanged.  Each mirror pair is evaluated once, on the
+    lexicographically smaller pattern, and counted for its q - span
+    translates, twice over when the pattern is not its own mirror.
+    Violations name explicit subsets, so a pattern with any violation is
+    re-evaluated on each of those subsets and their violations kept instead.
+    """
     q, k, h_cap, shard_index, shards = args
-    m_of = [multiset_count(i, k) for i in range(h_cap + 1)]
-    tetra = [tetrahedral(j) for j in range(h_cap + 1)]
-    comp_of = {d: compositions_table(d, k) for d in range(2, h_cap + 1)}
-    # per composition: bitmask of occupied slots, for pairwise disjointness
-    supp_of = {
-        d: [
-            sum(1 << i for i, v in enumerate(x) if v)
-            for x in comps
-        ]
-        for d, comps in comp_of.items()
-    }
-    rep_bound = (k + 1) // 2
-    tally = _ShardTally(
-        hist=[Counter() for _ in range(h_cap)],
-        bstar=Counter(),
-        exceptional=Counter(),
-        rep_profile=Counter(),
-        capped=0,
-        subsets=0,
-        ladder_violations=[],
-        rep_violations=[],
-        support_violations=[],
-    )
-    hist = tally.hist
-    for top in range(k, q + 1):
-        if top % shards != shard_index:
+    evaluator = _SetEvaluator(k, h_cap)
+    tally = _ShardTally.empty(h_cap)
+    for span in range(k - 1, q):
+        if span % shards != shard_index:
             continue
-        for rest in itertools.combinations(range(1, top), k - 1):
-            elems = rest + (top,)
-            tally.subsets += 1
-            # bitmap kernel, inlined: fold i lives in [i*min .. i*max],
-            # offset by i*min, so a fold is k shifts and k ors
-            base = elems[0]
-            shifts = [e - base for e in elems]
-            cur = 0
-            for s in shifts:
-                cur |= 1 << s
-            sizes = [cur.bit_count()]
-            for _ in range(h_cap - 1):
-                nxt = 0
-                for s in shifts:
-                    nxt |= cur << s
-                cur = nxt
-                sizes.append(cur.bit_count())
-            first_deficit = 0
-            for i in range(1, h_cap + 1):
-                s_i = sizes[i - 1]
-                hist[i - 1][s_i] += 1
-                if s_i < m_of[i]:
-                    if not first_deficit:
-                        first_deficit = i
-                elif first_deficit:
-                    raise RuntimeError(
-                        f"deficit at fold {first_deficit} of {elems} vanished at fold {i}"
-                    )
-            if not first_deficit:
-                tally.capped += 1
+        for interior in itertools.combinations(range(1, span), k - 2):
+            mirrored = tuple(span - s for s in reversed(interior))
+            if interior > mirrored:
                 continue
-            h_star = first_deficit - 1
-            tally.bstar[h_star] += 1
-            if m_of[first_deficit] - sizes[first_deficit - 1] >= 2:
-                tally.exceptional[h_star] += 1
-            for step in range(1, h_cap - h_star + 1):
-                deficit = m_of[h_star + step] - sizes[h_star + step - 1]
-                if deficit < tetra[step]:
-                    tally.ladder_violations.append(
-                        DeficitLadderViolation(elems, h_star, step, deficit, tetra[step])
-                    )
-            # collision structure at the first colliding order
-            comps = comp_of[first_deficit]
-            seen: dict[int, int] = {}
-            dups: dict[int, list[int]] = {}
-            if k == 4:
-                e0, e1, e2, e3 = elems
-                for idx, x in enumerate(comps):
-                    t = x[0] * e0 + x[1] * e1 + x[2] * e2 + x[3] * e3
-                    if t in seen:
-                        dups.setdefault(t, [seen[t]]).append(idx)
-                    else:
-                        seen[t] = idx
-            else:
-                for idx, x in enumerate(comps):
-                    t = sum(c * e for c, e in zip(x, elems))
-                    if t in seen:
-                        dups.setdefault(t, [seen[t]]).append(idx)
-                    else:
-                        seen[t] = idx
-            if len(seen) != sizes[first_deficit - 1]:
-                raise RuntimeError(
-                    f"kernel size {sizes[first_deficit - 1]} != enumerated size "
-                    f"{len(seen)} at fold {first_deficit} of {elems}"
-                )
-            if not dups:
-                raise RuntimeError(
-                    f"deficit at fold {first_deficit} of {elems} but no collision found"
-                )
-            supp = supp_of[first_deficit]
-            max_reps = 1
-            for t, idxs in dups.items():
-                r = len(idxs)
-                if r > max_reps:
-                    max_reps = r
-                if r > rep_bound:
-                    tally.rep_violations.append(RepBoundViolation(elems, h_star, t, r))
-                for i in range(r):
-                    for j in range(i + 1, r):
-                        if supp[idxs[i]] & supp[idxs[j]]:
-                            tally.support_violations.append(
-                                SupportOverlapViolation(
-                                    elems, h_star, t, comps[idxs[i]], comps[idxs[j]]
-                                )
-                            )
-            tally.rep_profile[(h_star, max_reps)] += 1
+            pattern = (0,) + interior + (span,)
+            symmetric = interior == mirrored
+            ev = evaluator.evaluate(pattern)
+            if not (ev.ladder_violations or ev.rep_violations or ev.support_violations):
+                evaluator.add(tally, ev, (q - span) * (1 if symmetric else 2))
+                continue
+            shapes = [pattern] if symmetric else [pattern, (0,) + mirrored + (span,)]
+            for shape in shapes:
+                for c in range(1, q - span + 1):
+                    elems = tuple(c + s for s in shape)
+                    evaluator.add(tally, evaluator.evaluate(elems), 1)
     return tally
 
 
@@ -384,9 +462,11 @@ def run_census(
     """Census every k-subset of [1..q] up to fold h_cap.
 
     The subset count C(q,k) is checked against the sweep budget before any
-    enumeration.  shards controls the partition (by largest element, modulo
-    shards); workers > 1 runs shards in processes.  Reports are identical for
-    every shards/workers choice.
+    enumeration.  The sweep evaluates gap patterns, one per translation and
+    reflection class, each counted for the subsets it stands for.  shards
+    controls the partition (by pattern span, modulo shards); workers > 1 runs
+    shards in processes.  Reports are identical for every shards/workers
+    choice.  A failed internal consistency check raises InvariantError.
     """
     if k < 2:
         raise ValueError(f"set size must be >= 2, got k={k}")
@@ -396,10 +476,9 @@ def run_census(
         raise ValueError(f"classification cap must be >= 1, got {h_cap}")
     if shards < 1 or workers < 1:
         raise ValueError(f"shards and workers must be >= 1, got {shards}, {workers}")
-    n_subsets = math.comb(q, k)
     require_budget(
         f"census of C({q},{k}) subsets",
-        n_subsets,
+        math.comb(q, k),
         subset_budget(max_subsets),
         MAX_SUBSETS_ENV,
     )
@@ -409,37 +488,35 @@ def run_census(
             tallies = list(pool.map(_census_shard, shard_args))
     else:
         tallies = [_census_shard(a) for a in shard_args]
+    return _merge_report(q, k, h_cap, tallies)
 
-    hist = [Counter() for _ in range(h_cap)]
-    bstar: Counter = Counter()
-    exceptional: Counter = Counter()
-    rep_profile: Counter = Counter()
-    capped = 0
-    subsets_seen = 0
-    ladder_v: list[DeficitLadderViolation] = []
-    rep_v: list[RepBoundViolation] = []
-    support_v: list[SupportOverlapViolation] = []
+
+def _merge_report(q: int, k: int, h_cap: int, tallies: list[_ShardTally]) -> CensusReport:
+    """Add shard tallies, check their mass, and build the report."""
+    n_subsets = math.comb(q, k)
+    merged = _ShardTally.empty(h_cap)
     for t in tallies:
         for i in range(h_cap):
-            hist[i].update(t.hist[i])
-        bstar.update(t.bstar)
-        exceptional.update(t.exceptional)
-        rep_profile.update(t.rep_profile)
-        capped += t.capped
-        subsets_seen += t.subsets
-        ladder_v.extend(t.ladder_violations)
-        rep_v.extend(t.rep_violations)
-        support_v.extend(t.support_violations)
+            merged.hist[i].update(t.hist[i])
+        merged.bstar.update(t.bstar)
+        merged.exceptional.update(t.exceptional)
+        merged.rep_profile.update(t.rep_profile)
+        merged.capped += t.capped
+        merged.subsets += t.subsets
+        merged.ladder_violations.extend(t.ladder_violations)
+        merged.rep_violations.extend(t.rep_violations)
+        merged.support_violations.extend(t.support_violations)
+    hist = merged.hist
 
-    if subsets_seen != n_subsets:
-        raise RuntimeError(
-            f"shard merge saw {subsets_seen} subsets, expected {n_subsets}"
+    if merged.subsets != n_subsets:
+        raise InvariantError(
+            f"shard merge saw {merged.subsets} subsets, expected {n_subsets}"
         )
     for i in range(h_cap):
         if sum(hist[i].values()) != n_subsets:
-            raise RuntimeError(f"histogram mass at fold {i + 1} is not C(q,k)")
-    if sum(bstar.values()) + capped != n_subsets:
-        raise RuntimeError("classification tallies do not partition the subsets")
+            raise InvariantError(f"histogram mass at fold {i + 1} is not C(q,k)")
+    if sum(merged.bstar.values()) + merged.capped != n_subsets:
+        raise InvariantError("classification tallies do not partition the subsets")
 
     histograms = {i + 1: SizeHistogram(i + 1, dict(hist[i])) for i in range(h_cap)}
     gaps = (
@@ -448,21 +525,21 @@ def run_census(
         else {}
     )
     rep_profiles: dict[int, dict[int, int]] = {}
-    for (h_star, r), count in sorted(rep_profile.items()):
+    for (h_star, r), count in sorted(merged.rep_profile.items()):
         rep_profiles.setdefault(h_star, {})[r] = count
     return CensusReport(
         q=q,
         k=k,
         h_cap=h_cap,
         histograms=histograms,
-        bstar_counts=dict(sorted(bstar.items())),
-        exceptional_counts=dict(sorted(exceptional.items())),
-        capped=capped,
+        bstar_counts=dict(sorted(merged.bstar.items())),
+        exceptional_counts=dict(sorted(merged.exceptional.items())),
+        capped=merged.capped,
         gaps=gaps,
         rep_profiles=rep_profiles,
-        ladder_violations=tuple(sorted(ladder_v)),
-        rep_violations=tuple(sorted(rep_v)),
-        support_violations=tuple(sorted(support_v)),
+        ladder_violations=tuple(sorted(merged.ladder_violations)),
+        rep_violations=tuple(sorted(merged.rep_violations)),
+        support_violations=tuple(sorted(merged.support_violations)),
     )
 
 
@@ -506,18 +583,24 @@ def count_pair_solutions(
         MAX_SUBSETS_ENV,
     )
     m_of = [multiset_count(i, k) for i in range(degree + 1)]
+    # Equal degrees make both the equation and the B_h order invariant under
+    # translation, so each gap pattern is tested once, on its translate
+    # starting at 1, and stands for its q - span translates.  Reflection is
+    # not used: it would reverse x and y.
     count = 0
-    for elems in itertools.combinations(range(1, q + 1), k):
-        lhs = sum(c * e for c, e in zip(x, elems))
-        if lhs != sum(c * e for c, e in zip(y, elems)):
-            continue
-        if restrict_bstar:
-            sizes = sumset_sizes(elems, degree)
-            if any(sizes[i - 1] != m_of[i] for i in range(1, degree)):
+    for span in range(k - 1, q):
+        for interior in itertools.combinations(range(2, span + 1), k - 2):
+            elems = (1,) + interior + (span + 1,)
+            lhs = sum(c * e for c, e in zip(x, elems))
+            if lhs != sum(c * e for c, e in zip(y, elems)):
                 continue
-            if sizes[degree - 1] == m_of[degree]:
-                continue
-        count += 1
+            if restrict_bstar:
+                sizes = sumset_sizes(elems, degree)
+                if any(sizes[i - 1] != m_of[i] for i in range(1, degree)):
+                    continue
+                if sizes[degree - 1] == m_of[degree]:
+                    continue
+            count += q - span
     return count
 
 

@@ -6,7 +6,7 @@ and timing go to stderr, so identical configurations produce byte-identical
 stdout and files.
 
 Exit codes: 0 success, 1 a checked statement was violated, 2 usage error,
-3 budget exceeded.
+3 budget exceeded, 4 an internal consistency check failed (a bug).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from pathlib import Path
 from .census import count_pair_solutions, run_census
 from .engine import SetVector, profile_naive
 from .family import FamilyParams, family_size, generate_family, member_record, verify_member
-from .guards import BudgetExceededError, LemmaViolationError
+from .guards import BudgetExceededError, InvariantError, LemmaViolationError
 from .plotting import histogram_svg
 from .verifier import verify_ddp, verify_ortho, verify_paircount, verify_repno
 
@@ -27,6 +27,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INVARIANT = 4
 
 DEFAULT_GRID_Q = (20, 30, 40)
 DEFAULT_GRID_H = (2, 3, 4)
@@ -306,6 +307,9 @@ def main(argv: list[str] | None = None) -> int:
     except LemmaViolationError as exc:
         print(f"violation: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
+    except InvariantError as exc:
+        print(f"internal check failed: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

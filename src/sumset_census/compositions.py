@@ -12,6 +12,7 @@ All arithmetic is exact; counts come from math.comb and can never wrap.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
@@ -114,12 +115,16 @@ def disjoint_support_pairs(
 ) -> PairCensus:
     """Census of pairs {x, y} of distinct compositions of h with x . y == 0.
 
-    Counted by brute-force pairwise scan; vanishing dot product and disjoint
-    support are the same predicate on nonnegative vectors.  nontrivial_pairs
-    drops the C(k,2) pairs where both vectors have singleton support: those
-    encode h*a = h*b, impossible for distinct elements, so they can never
-    witness a collision.  For k=4 the two counts follow the closed forms
-    5h^2+1 and 5h^2-5.
+    Vanishing dot product and disjoint support are the same predicate on
+    nonnegative vectors, so pairs are counted by support mask: with n_S the
+    number of compositions whose support is exactly S, the total is the sum
+    of n_S * n_T over unordered pairs of disjoint masks.  Supports are
+    nonempty for h >= 1, so two vectors with disjoint supports are distinct.
+    nontrivial_pairs drops the C(k,2) pairs where both vectors have singleton
+    support: those encode h*a = h*b, impossible for distinct elements, so
+    they can never witness a collision.  For k=4 the two counts follow the
+    closed forms 5h^2+1 and 5h^2-5.  The budget bounds the pairs a pairwise
+    scan would visit.
     """
     if h < 1:
         raise ValueError(f"fold count must be >= 1, got h={h}")
@@ -129,14 +134,14 @@ def disjoint_support_pairs(
     pairs = m * (m - 1) // 2
     if pairs > pair_budget:
         raise BudgetExceededError("disjoint-support pair scan", pairs, pair_budget)
-    comps = compositions_table(h, k)
-    singleton = [max(x) == h for x in comps]
-    total = 0
-    nontrivial = 0
-    for i, x in enumerate(comps):
-        for j in range(i + 1, m):
-            if dot(x, comps[j]) == 0:
-                total += 1
-                if not (singleton[i] and singleton[j]):
-                    nontrivial += 1
-    return PairCensus(h, k, total, nontrivial)
+    by_mask = Counter(
+        sum(1 << i for i, v in enumerate(x) if v) for x in compositions_table(h, k)
+    )
+    ordered = sum(
+        n_s * n_t
+        for s, n_s in by_mask.items()
+        for t, n_t in by_mask.items()
+        if not s & t
+    )
+    total = ordered // 2
+    return PairCensus(h, k, total, total - math.comb(k, 2))

@@ -44,6 +44,16 @@ class LemmaViolationError(RuntimeError):
     """
 
 
+class InvariantError(RuntimeError):
+    """Raised when an internal consistency check of a computation fails.
+
+    Examples: the bitmap kernel and composition enumeration disagree on a
+    sumset size, a deficit vanishes at a larger fold, or merged shard tallies
+    do not add up to the subsets swept.  This always means a bug, never a
+    finding about sumsets.
+    """
+
+
 def _env_budget(env: str, default: int) -> int:
     raw = os.environ.get(env)
     if raw is None:

@@ -6,11 +6,24 @@ from combinations_with_replacement instead of composition enumeration, sizes
 from plain set folding, and pair solutions from literal nested loops.  When
 the package and these helpers agree, two unrelated routes reached the same
 numbers.
+
+Two helpers instead keep the package's earlier plain algorithms alive as
+references for its shortcuts: the per-subset census sweep (the package
+sweeps gap patterns) and the pairwise disjoint-support scan (the package
+counts by support mask).
 """
 
 from collections import Counter
 from functools import cache
 import itertools
+
+from sumset_census import census
+from sumset_census.census import (
+    DeficitLadderViolation,
+    RepBoundViolation,
+    SupportOverlapViolation,
+)
+from sumset_census.compositions import compositions_table
 
 
 @cache
@@ -74,3 +87,110 @@ def family_enumeration(h, q) -> list[tuple[int, int, int, int]]:
             for d in range(d_low, q + 1):
                 members.append((a, b, c, d))
     return members
+
+
+def disjoint_pair_scan(h, k) -> tuple[int, int]:
+    """(total, nontrivial) disjoint-support pairs by a pairwise scan of all
+    compositions; a pair is trivial when both vectors are singletons."""
+    comps = compositions_table(h, k)
+    singleton = [max(x) == h for x in comps]
+    total = 0
+    nontrivial = 0
+    for i, x in enumerate(comps):
+        for j in range(i + 1, len(comps)):
+            if all(a == 0 or b == 0 for a, b in zip(x, comps[j])):
+                total += 1
+                if not (singleton[i] and singleton[j]):
+                    nontrivial += 1
+    return total, nontrivial
+
+
+def plain_census_shard(q, k, h_cap, shard_index=0, shards=1):
+    """Census tally over every k-subset of [1..q] one by one, sharded by
+    largest element: the package's sweep before it went over gap patterns.
+    Bounds are read through the census module at call time, so a test that
+    patches them there patches this sweep too."""
+    m_of = [census.multiset_count(i, k) for i in range(h_cap + 1)]
+    tetra = [census.tetrahedral(j) for j in range(h_cap + 1)]
+    rep_bound = census._rep_bound(k)
+    comp_of = {d: compositions_table(d, k) for d in range(2, h_cap + 1)}
+    supp_of = {
+        d: [sum(1 << i for i, v in enumerate(x) if v) for x in comps]
+        for d, comps in comp_of.items()
+    }
+    tally = census._ShardTally.empty(h_cap)
+    hist = tally.hist
+    for top in range(k, q + 1):
+        if top % shards != shard_index:
+            continue
+        for rest in itertools.combinations(range(1, top), k - 1):
+            elems = rest + (top,)
+            tally.subsets += 1
+            base = elems[0]
+            shifts = [e - base for e in elems]
+            cur = 0
+            for s in shifts:
+                cur |= 1 << s
+            sizes = [cur.bit_count()]
+            for _ in range(h_cap - 1):
+                nxt = 0
+                for s in shifts:
+                    nxt |= cur << s
+                cur = nxt
+                sizes.append(cur.bit_count())
+            first_deficit = 0
+            for i in range(1, h_cap + 1):
+                s_i = sizes[i - 1]
+                hist[i - 1][s_i] += 1
+                if s_i < m_of[i]:
+                    if not first_deficit:
+                        first_deficit = i
+                elif first_deficit:
+                    raise census.InvariantError(f"deficit vanished for {elems}")
+            if not first_deficit:
+                tally.capped += 1
+                continue
+            h_star = first_deficit - 1
+            tally.bstar[h_star] += 1
+            if m_of[first_deficit] - sizes[first_deficit - 1] >= 2:
+                tally.exceptional[h_star] += 1
+            for step in range(1, h_cap - h_star + 1):
+                deficit = m_of[h_star + step] - sizes[h_star + step - 1]
+                if deficit < tetra[step]:
+                    tally.ladder_violations.append(
+                        DeficitLadderViolation(elems, h_star, step, deficit, tetra[step])
+                    )
+            comps = comp_of[first_deficit]
+            seen = {}
+            dups = {}
+            for idx, x in enumerate(comps):
+                t = sum(c * e for c, e in zip(x, elems))
+                if t in seen:
+                    dups.setdefault(t, [seen[t]]).append(idx)
+                else:
+                    seen[t] = idx
+            if len(seen) != sizes[first_deficit - 1] or not dups:
+                raise census.InvariantError(f"scan disagrees with kernel for {elems}")
+            supp = supp_of[first_deficit]
+            max_reps = 1
+            for t, idxs in dups.items():
+                r = len(idxs)
+                max_reps = max(max_reps, r)
+                if r > rep_bound:
+                    tally.rep_violations.append(RepBoundViolation(elems, h_star, t, r))
+                for i in range(r):
+                    for j in range(i + 1, r):
+                        if supp[idxs[i]] & supp[idxs[j]]:
+                            tally.support_violations.append(
+                                SupportOverlapViolation(
+                                    elems, h_star, t, comps[idxs[i]], comps[idxs[j]]
+                                )
+                            )
+            tally.rep_profile[(h_star, max_reps)] += 1
+    return tally
+
+
+def plain_census(q, k, h_cap, shards=1):
+    """CensusReport of the per-subset sweep, merged as run_census merges."""
+    tallies = [plain_census_shard(q, k, h_cap, s, shards) for s in range(shards)]
+    return census._merge_report(q, k, h_cap, tallies)

@@ -6,6 +6,8 @@ import pytest
 
 from sumset_census import (
     BudgetExceededError,
+    InvariantError,
+    LemmaViolationError,
     SizeHistogram,
     count_pair_solutions,
     detect_gaps,
@@ -14,12 +16,14 @@ from sumset_census import (
     run_census,
     tetrahedral,
 )
+from sumset_census import census, cli
 from sumset_census.compositions import compositions_table
 
 from oracles import (
     composition_count,
     order_of,
     pair_solution_count_4,
+    plain_census,
     representation_counter,
 )
 
@@ -107,6 +111,90 @@ class TestSharding:
             left.merged(SizeHistogram(3, {}))
         with pytest.raises(ValueError):
             merge_histograms([])
+
+
+_PLAIN_REPORTS = {}
+
+
+def _plain_report(q, k, h_cap):
+    key = (q, k, h_cap)
+    if key not in _PLAIN_REPORTS:
+        _PLAIN_REPORTS[key] = plain_census(q, k, h_cap)
+    return _PLAIN_REPORTS[key]
+
+
+def _assert_same_report(report, reference):
+    assert report == reference
+    assert report.to_json() == reference.to_json()
+    assert report.histograms_csv() == reference.histograms_csv()
+
+
+class TestPatternSweepAgainstPlainSweep:
+    """The gap-pattern sweep must reproduce the per-subset sweep exactly."""
+
+    @pytest.mark.parametrize("q,k,h_cap", [(12, 4, 4), (25, 4, 5), (40, 4, 6), (20, 5, 4)])
+    @pytest.mark.parametrize("shards", [1, 3, 7])
+    def test_report_bytes_match(self, q, k, h_cap, shards):
+        reference = _plain_report(q, k, h_cap)
+        _assert_same_report(run_census(q=q, k=k, h_cap=h_cap, shards=shards), reference)
+
+    def test_worker_processes_match(self):
+        report = run_census(q=25, k=4, h_cap=5, shards=3, workers=2)
+        _assert_same_report(report, _plain_report(25, 4, 5))
+
+    def test_plain_sweep_shards_agree(self):
+        assert plain_census(14, 4, 4, shards=3) == plain_census(14, 4, 4)
+
+
+class TestViolationExpansion:
+    """Violations found on a pattern are reported per explicit subset."""
+
+    def test_raised_ladder_bound(self, monkeypatch):
+        real = census.tetrahedral
+        monkeypatch.setattr(census, "tetrahedral", lambda n: real(n) + 1)
+        report = run_census(q=14, k=4, h_cap=4, shards=3)
+        assert report.ladder_violations
+        assert report.rep_violations == report.support_violations == ()
+        _assert_same_report(report, plain_census(14, 4, 4))
+
+    def test_rep_bound_of_one(self, monkeypatch):
+        monkeypatch.setattr(census, "_rep_bound", lambda k: 1)
+        for k, q in ((4, 14), (5, 11)):
+            report = run_census(q=q, k=k, h_cap=4)
+            assert report.rep_violations
+            assert report.ladder_violations == report.support_violations == ()
+            # every uncapped subset reports at least one violation
+            assert len({v.elements for v in report.rep_violations}) == sum(
+                report.bstar_counts.values()
+            )
+            _assert_same_report(report, plain_census(q, k, 4))
+
+
+def _vanishing_deficit(monkeypatch):
+    # a zero maximum at fold 3 lets every deficit found at fold 2 vanish
+    real = census.multiset_count
+    monkeypatch.setattr(
+        census, "multiset_count", lambda h, k: 0 if h == 3 else real(h, k)
+    )
+
+
+class TestInvariantError:
+    def test_vanished_deficit_raises(self, monkeypatch):
+        _vanishing_deficit(monkeypatch)
+        with pytest.raises(InvariantError, match="vanished at fold 3"):
+            run_census(q=12, k=4, h_cap=4)
+
+    def test_cli_exits_4(self, monkeypatch, capsys):
+        _vanishing_deficit(monkeypatch)
+        assert cli.main(["census", "--q", "12", "--h-cap", "4"]) == cli.EXIT_INVARIANT == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "internal check failed" in captured.err
+        assert "vanished at fold 3" in captured.err
+
+    def test_is_not_a_lemma_violation(self):
+        assert not issubclass(InvariantError, LemmaViolationError)
+        assert issubclass(InvariantError, RuntimeError)
 
 
 class TestBudget:
@@ -220,6 +308,27 @@ class TestCountPairSolutions:
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             count_pair_solutions((2, 0, 0, 1), (0, 2, 1, 0), 50, max_subsets=100)
+
+    @pytest.mark.parametrize(
+        "x,y",
+        [
+            ((2, 0, 0, 1), (0, 2, 1, 0)),
+            ((1, 0, 0, 1), (0, 1, 1, 0)),
+            ((0, 0, 3, 0), (1, 1, 0, 1)),
+            ((1, 0, 2, 0), (0, 3, 0, 0)),
+        ],
+    )
+    @pytest.mark.parametrize("q", [4, 9, 13, 18])
+    def test_translation_reduction_matches_literal_loops(self, x, y, q):
+        assert count_pair_solutions(x, y, q) == pair_solution_count_4(x, y, q)
+        degree = sum(x)
+        restricted = sum(
+            1
+            for elems in itertools.combinations(range(1, q + 1), 4)
+            if sum(c * e for c, e in zip(x, elems)) == sum(c * e for c, e in zip(y, elems))
+            and order_of(elems, degree) == (degree - 1, False)
+        )
+        assert count_pair_solutions(x, y, q, restrict_bstar=True) == restricted
 
 
 class TestBStarCrossCheck:

@@ -16,7 +16,7 @@ from sumset_census import (
 )
 from sumset_census.compositions import compositions_table
 
-from oracles import composition_count
+from oracles import composition_count, disjoint_pair_scan
 
 
 @pytest.mark.parametrize(
@@ -114,6 +114,13 @@ def test_disjoint_support_pairs_closed_form_k4():
         census = disjoint_support_pairs(h, 4)
         assert census.total_disjoint_pairs == 5 * h * h + 1
         assert census.nontrivial_pairs == 5 * h * h - 5
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+@pytest.mark.parametrize("h", range(1, 9))
+def test_disjoint_support_pairs_match_pairwise_scan(h, k):
+    census = disjoint_support_pairs(h, k)
+    assert (census.total_disjoint_pairs, census.nontrivial_pairs) == disjoint_pair_scan(h, k)
 
 
 @given(st.integers(1, 8), st.integers(2, 5))
