@@ -19,7 +19,6 @@ from .census import (
     SizeHistogram,
     count_pair_solutions,
     detect_gaps,
-    merge_histograms,
     run_census,
 )
 from .engine import (
@@ -88,7 +87,6 @@ __all__ = [
     "histogram_svg",
     "member_at",
     "member_record",
-    "merge_histograms",
     "multiset_count",
     "profile_fast",
     "profile_naive",

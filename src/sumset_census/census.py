@@ -1,8 +1,9 @@
 """Exhaustive census of iterated sumset sizes over all k-subsets of [1..q].
 
-The sweep computes |iA| for i = 1..h_cap with the bitmap kernel, classifies
-the B_h order from the first deficit, and checks the collision-structure
-lemmas on the way: the deficit ladder below the first collision, the
+The sweep computes |iA| for i = 1..h_cap with the engine's bitmap kernel,
+classifies the B_h order from the engine's first-deficit rule, and checks the
+collision-structure lemmas on the way, using the engine's collision scan at
+the first colliding order: the deficit ladder below the first collision, the
 representation bound at order h_star + 1, and pairwise support disjointness
 of colliding vectors.  Per-order size histograms, population tallies and any
 violations are accumulated exactly.
@@ -29,7 +30,7 @@ import math
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 from .compositions import (
     Composition,
@@ -37,7 +38,7 @@ from .compositions import (
     multiset_count,
     tetrahedral,
 )
-from .engine import sumset_sizes
+from .engine import _collision_scan, _fold_sizes, first_deficit
 from .guards import InvariantError, MAX_SUBSETS_ENV, require_budget, subset_budget
 
 DEFAULT_STRONG_RATIO = 10.0
@@ -53,13 +54,6 @@ class SizeHistogram:
     @property
     def total(self) -> int:
         return sum(self.counts.values())
-
-    def merged(self, other: "SizeHistogram") -> "SizeHistogram":
-        if other.h != self.h:
-            raise ValueError(f"cannot merge histograms for folds {self.h} and {other.h}")
-        counts = Counter(self.counts)
-        counts.update(other.counts)
-        return SizeHistogram(self.h, dict(counts))
 
 
 class DeficitLadderViolation(NamedTuple):
@@ -224,46 +218,24 @@ class _SetEvaluator:
         self.h_cap = h_cap
         self.m_of = [multiset_count(i, k) for i in range(h_cap + 1)]
         self.tetra = [tetrahedral(j) for j in range(h_cap + 1)]
-        self.comp_of = {d: compositions_table(d, k) for d in range(2, h_cap + 1)}
         # per composition: bitmask of occupied slots, for pairwise disjointness
         self.supp_of = {
-            d: [sum(1 << i for i, v in enumerate(x) if v) for x in comps]
-            for d, comps in self.comp_of.items()
+            d: [sum(1 << i for i, v in enumerate(x) if v) for x in compositions_table(d, k)]
+            for d in range(2, h_cap + 1)
         }
         self.rep_bound = _rep_bound(k)
 
     def evaluate(self, elems: tuple[int, ...]) -> _SetEvaluation:
         h_cap = self.h_cap
         m_of = self.m_of
-        # bitmap kernel, inlined: fold i lives in [i*min .. i*max],
-        # offset by i*min, so a fold is k shifts and k ors
-        base = elems[0]
-        shifts = [e - base for e in elems]
-        cur = 0
-        for s in shifts:
-            cur |= 1 << s
-        sizes = [cur.bit_count()]
-        for _ in range(h_cap - 1):
-            nxt = 0
-            for s in shifts:
-                nxt |= cur << s
-            cur = nxt
-            sizes.append(cur.bit_count())
-        first_deficit = 0
-        for i in range(1, h_cap + 1):
-            if sizes[i - 1] < m_of[i]:
-                if not first_deficit:
-                    first_deficit = i
-            elif first_deficit:
-                raise InvariantError(
-                    f"deficit at fold {first_deficit} of {elems} vanished at fold {i}"
-                )
+        sizes = _fold_sizes(elems, h_cap)
+        first = first_deficit(elems, sizes)
         ladder_v: list[DeficitLadderViolation] = []
         rep_v: list[RepBoundViolation] = []
         support_v: list[SupportOverlapViolation] = []
-        if not first_deficit:
+        if not first:
             return _SetEvaluation(sizes, 0, 0, ladder_v, rep_v, support_v)
-        h_star = first_deficit - 1
+        h_star = first - 1
         for step in range(1, h_cap - h_star + 1):
             deficit = m_of[h_star + step] - sizes[h_star + step - 1]
             if deficit < self.tetra[step]:
@@ -271,36 +243,17 @@ class _SetEvaluator:
                     DeficitLadderViolation(elems, h_star, step, deficit, self.tetra[step])
                 )
         # collision structure at the first colliding order
-        comps = self.comp_of[first_deficit]
-        seen: dict[int, int] = {}
-        dups: dict[int, list[int]] = {}
-        if self.k == 4:
-            e0, e1, e2, e3 = elems
-            for idx, x in enumerate(comps):
-                t = x[0] * e0 + x[1] * e1 + x[2] * e2 + x[3] * e3
-                if t in seen:
-                    dups.setdefault(t, [seen[t]]).append(idx)
-                else:
-                    seen[t] = idx
-        else:
-            for idx, x in enumerate(comps):
-                t = sum(c * e for c, e in zip(x, elems))
-                if t in seen:
-                    dups.setdefault(t, [seen[t]]).append(idx)
-                else:
-                    seen[t] = idx
-        if len(seen) != sizes[first_deficit - 1]:
+        size, groups = _collision_scan(elems, first)
+        if size != sizes[h_star]:
             raise InvariantError(
-                f"kernel size {sizes[first_deficit - 1]} != enumerated size "
-                f"{len(seen)} at fold {first_deficit} of {elems}"
+                f"kernel size {sizes[h_star]} != enumerated size "
+                f"{size} at fold {first} of {elems}"
             )
-        if not dups:
-            raise InvariantError(
-                f"deficit at fold {first_deficit} of {elems} but no collision found"
-            )
-        supp = self.supp_of[first_deficit]
+        if not groups:
+            raise InvariantError(f"deficit at fold {first} of {elems} but no collision found")
+        supp = self.supp_of[first]
         max_reps = 1
-        for t, idxs in dups.items():
+        for t, idxs in groups.items():
             r = len(idxs)
             if r > max_reps:
                 max_reps = r
@@ -309,12 +262,13 @@ class _SetEvaluator:
             for i in range(r):
                 for j in range(i + 1, r):
                     if supp[idxs[i]] & supp[idxs[j]]:
+                        comps = compositions_table(first, self.k)
                         support_v.append(
                             SupportOverlapViolation(
                                 elems, h_star, t, comps[idxs[i]], comps[idxs[j]]
                             )
                         )
-        return _SetEvaluation(sizes, first_deficit, max_reps, ladder_v, rep_v, support_v)
+        return _SetEvaluation(sizes, first, max_reps, ladder_v, rep_v, support_v)
 
     def add(self, tally: _ShardTally, ev: _SetEvaluation, weight: int) -> None:
         """Count one evaluated set weight times; violations are added as is."""
@@ -582,7 +536,6 @@ def count_pair_solutions(
         subset_budget(max_subsets),
         MAX_SUBSETS_ENV,
     )
-    m_of = [multiset_count(i, k) for i in range(degree + 1)]
     # Equal degrees make both the equation and the B_h order invariant under
     # translation, so each gap pattern is tested once, on its translate
     # starting at 1, and stands for its q - span translates.  Reflection is
@@ -594,29 +547,8 @@ def count_pair_solutions(
             lhs = sum(c * e for c, e in zip(x, elems))
             if lhs != sum(c * e for c, e in zip(y, elems)):
                 continue
-            if restrict_bstar:
-                sizes = sumset_sizes(elems, degree)
-                if any(sizes[i - 1] != m_of[i] for i in range(1, degree)):
-                    continue
-                if sizes[degree - 1] == m_of[degree]:
-                    continue
+            if restrict_bstar and first_deficit(elems, _fold_sizes(elems, degree)) != degree:
+                continue
             count += q - span
     return count
 
-
-def histogram_of(report: CensusReport, h: int) -> SizeHistogram:
-    """Histogram at fold h out of a report, with a range check."""
-    if h not in report.histograms:
-        raise ValueError(f"report covers folds 1..{report.h_cap}, not {h}")
-    return report.histograms[h]
-
-
-def merge_histograms(parts: Mapping[int, SizeHistogram] | list[SizeHistogram]) -> SizeHistogram:
-    """Fold shard histograms for one h into one; addition is the whole merge."""
-    items = list(parts.values()) if isinstance(parts, Mapping) else list(parts)
-    if not items:
-        raise ValueError("nothing to merge")
-    merged = items[0]
-    for other in items[1:]:
-        merged = merged.merged(other)
-    return merged

@@ -40,10 +40,6 @@ def _parse_vector(text: str) -> tuple[int, ...]:
         raise ValueError(f"expected comma-separated integers, got {text!r}") from None
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return _parse_vector(text)
-
-
 def cmd_sumset(args: argparse.Namespace) -> int:
     values = _parse_vector(args.set)
     vec = SetVector.from_values(values, args.q)
@@ -282,8 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     lp = lemma_sub.add_parser("all", help="full desk-scale grid")
     lp.add_argument("--h-max", type=int, default=12, dest="h_max")
-    lp.add_argument("--grid-q", type=_parse_int_list, default=DEFAULT_GRID_Q, dest="grid_q")
-    lp.add_argument("--grid-h", type=_parse_int_list, default=DEFAULT_GRID_H, dest="grid_h")
+    lp.add_argument("--grid-q", type=_parse_vector, default=DEFAULT_GRID_Q, dest="grid_q")
+    lp.add_argument("--grid-h", type=_parse_vector, default=DEFAULT_GRID_H, dest="grid_h")
     lp.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("pairs", help="count subsets solving x.A == y.A")

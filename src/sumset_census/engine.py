@@ -11,17 +11,25 @@ source of collision structure.  sumset_sizes/profile_fast fold Minkowski sums
 through a dense bitmap held in a shifted big integer; it returns sizes only
 and must agree with the oracle on every size.  Keeping both routes alive is
 the point: each checks the other.
+
+This module is the only home of the bitmap kernel (_fold_sizes), the
+composition collision scan (_collision_scan) and the first-deficit rule
+(first_deficit).  The census calls the unvalidated kernel and scan directly
+on sets it generates; every other caller goes through the validating public
+functions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence, Union
 
 from .compositions import Composition, compositions_table, multiset_count, tetrahedral
 from .guards import (
     DEFAULT_MAX_BITMAP_BITS,
     MAX_COMPOSITIONS_ENV,
+    InvariantError,
     LemmaViolationError,
     composition_budget,
     require_budget,
@@ -130,16 +138,42 @@ def profile_naive(a: SetLike, h: int, max_compositions: int | None = None) -> Su
         composition_budget(max_compositions),
         MAX_COMPOSITIONS_ENV,
     )
-    by_sum: dict[int, list[Composition]] = {}
-    for x in compositions_table(h, k):
-        n = sum(c * e for c, e in zip(x, elems))
-        by_sum.setdefault(n, []).append(x)
-    size = len(by_sum)
-    max_reps = max(len(v) for v in by_sum.values())
+    size, groups = _collision_scan(elems, h)
+    comps = compositions_table(h, k)
     collisions = tuple(
-        Collision(n, tuple(v)) for n, v in sorted(by_sum.items()) if len(v) >= 2
+        Collision(n, tuple(comps[i] for i in idxs)) for n, idxs in sorted(groups.items())
     )
+    max_reps = max((len(idxs) for idxs in groups.values()), default=1)
     return SumsetProfile(h, size, m - size, max_reps, collisions)
+
+
+def _collision_scan(elems: tuple[int, ...], h: int) -> tuple[int, dict[int, list[int]]]:
+    """(|hA|, colliding groups) of a sorted tuple in one pass over compositions.
+
+    groups maps every sum with two or more representations to the indices of
+    those compositions in compositions_table(h, k), ascending.  No input
+    checks; the caller validates.
+    """
+    comps = compositions_table(h, len(elems))
+    seen: dict[int, int] = {}
+    groups: dict[int, list[int]] = {}
+    if len(elems) == 4:
+        # unrolled dot product: the census and the lemma sweeps live at k = 4
+        e0, e1, e2, e3 = elems
+        for idx, x in enumerate(comps):
+            t = x[0] * e0 + x[1] * e1 + x[2] * e2 + x[3] * e3
+            if t in seen:
+                groups.setdefault(t, [seen[t]]).append(idx)
+            else:
+                seen[t] = idx
+    else:
+        for idx, x in enumerate(comps):
+            t = sum(c * e for c, e in zip(x, elems))
+            if t in seen:
+                groups.setdefault(t, [seen[t]]).append(idx)
+            else:
+                seen[t] = idx
+    return len(seen), groups
 
 
 def sumset_sizes(a: SetLike, h: int, max_bits: int = DEFAULT_MAX_BITMAP_BITS) -> list[int]:
@@ -154,6 +188,11 @@ def sumset_sizes(a: SetLike, h: int, max_bits: int = DEFAULT_MAX_BITMAP_BITS) ->
         raise ValueError(f"fold count must be >= 1, got h={h}")
     span = h * (elems[-1] - elems[0]) + 1
     require_budget("sumset bitmap", span, max_bits)
+    return _fold_sizes(elems, h)
+
+
+def _fold_sizes(elems: tuple[int, ...], h: int) -> list[int]:
+    """The bitmap kernel behind sumset_sizes, on a sorted tuple, unchecked."""
     shifts = [e - elems[0] for e in elems]
     cur = 0
     for s in shifts:
@@ -166,6 +205,32 @@ def sumset_sizes(a: SetLike, h: int, max_bits: int = DEFAULT_MAX_BITMAP_BITS) ->
         cur = nxt
         sizes.append(cur.bit_count())
     return sizes
+
+
+@lru_cache(maxsize=None)
+def _full_sizes(k: int, h: int) -> tuple[int, ...]:
+    """multiset_count(i, k) for i = 1..h, materialized once per (k, h)."""
+    return tuple(multiset_count(i, k) for i in range(1, h + 1))
+
+
+def first_deficit(elems: tuple[int, ...], sizes: Sequence[int]) -> int:
+    """First fold i with |iA| < multiset_count(i, k), or 0 when there is none.
+
+    sizes[i - 1] is |iA| for i = 1..len(sizes).  A collision at fold i
+    extends to every larger fold, so a deficit must persist once it appears;
+    a size back at its maximum raises InvariantError.
+    """
+    full = _full_sizes(len(elems), len(sizes))
+    first = 0
+    for i, size in enumerate(sizes):
+        if size < full[i]:
+            if not first:
+                first = i + 1
+        elif first:
+            raise InvariantError(
+                f"deficit at fold {first} of {elems} vanished at fold {i + 1}"
+            )
+    return first
 
 
 def profile_fast(a: SetLike, h: int) -> tuple[int, int]:
@@ -196,27 +261,16 @@ def classify(a: SetLike, h_cap: int = DEFAULT_H_CAP) -> BhClassification:
     A deficit at fold i means a collision among i-fold sums, so h_star is the
     last fold before the first deficit.  Deficits must persist once they
     appear (a collision at order i extends to every larger order); that
-    monotonicity is checked against the size profile, not assumed.
+    monotonicity is checked against the size profile, not assumed, and a
+    vanished deficit raises InvariantError.
     """
     elems = elements_of(a)
     if h_cap < 1:
         raise ValueError(f"classification cap must be >= 1, got {h_cap}")
-    k = len(elems)
-    sizes = sumset_sizes(elems, h_cap)
-    first_deficit = 0
-    for i, size in enumerate(sizes, start=1):
-        if size < multiset_count(i, k):
-            first_deficit = i
-            break
-    if first_deficit:
-        for j in range(first_deficit, h_cap + 1):
-            if sizes[j - 1] >= multiset_count(j, k):
-                raise LemmaViolationError(
-                    f"deficit at fold {first_deficit} of {elems} vanished at fold {j}; "
-                    "collisions must persist"
-                )
-        witness = profile_naive(elems, first_deficit).collisions[0]
-        return BhClassification(first_deficit - 1, False, witness)
+    first = first_deficit(elems, sumset_sizes(elems, h_cap))
+    if first:
+        witness = profile_naive(elems, first).collisions[0]
+        return BhClassification(first - 1, False, witness)
     return BhClassification(h_cap, True, None)
 
 
@@ -247,10 +301,10 @@ def gap_bound_check(a: SetLike, h_star: int, max_step: int) -> list[GapBoundReco
     if h_star < 1 or max_step < 1:
         raise ValueError(f"need h_star >= 1 and max_step >= 1, got {h_star}, {max_step}")
     sizes = sumset_sizes(elems, h_star + max_step)
-    for i in range(1, h_star + 1):
-        if sizes[i - 1] != multiset_count(i, 4):
-            raise ValueError(f"{elems} already collides at fold {i}, so h_star != {h_star}")
-    if sizes[h_star] == multiset_count(h_star + 1, 4):
+    first = first_deficit(elems, sizes)
+    if first and first <= h_star:
+        raise ValueError(f"{elems} already collides at fold {first}, so h_star != {h_star}")
+    if first != h_star + 1:
         raise ValueError(f"{elems} is still collision-free at fold {h_star + 1}")
     records = []
     for step in range(1, max_step + 1):

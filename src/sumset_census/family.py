@@ -24,7 +24,15 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .compositions import multiset_count, tetrahedral
-from .engine import SetLike, SetVector, elements_of, profile_naive, sumset_sizes
+from .engine import (
+    SetLike,
+    SetVector,
+    elements_of,
+    first_deficit,
+    profile_naive,
+    sumset_sizes,
+)
+from .guards import InvariantError
 
 
 @dataclass(frozen=True)
@@ -85,7 +93,7 @@ def member_at(params: FamilyParams, index: int) -> SetVector:
             d = params.d_min + remaining % per_d
             c = (h + 1) * b - h * a
             if not (a < b < c < d <= q):
-                raise RuntimeError(f"malformed member ({a},{b},{c},{d}) at index {index}")
+                raise InvariantError(f"malformed member ({a},{b},{c},{d}) at index {index}")
             return SetVector((a, b, c, d), q)
         remaining -= block
     raise ValueError(f"index {index} out of range for family of size {family_size(params)}")
@@ -152,9 +160,7 @@ def verify_member(a: SetLike, h: int, max_step: int = 1) -> MemberVerification:
     top = h + steps[-1]
     sizes = sumset_sizes(elems, top)
 
-    h_star_ok = all(
-        sizes[i - 1] == multiset_count(i, 4) for i in range(1, h + 1)
-    ) and sizes[h] < multiset_count(h + 1, 4)
+    h_star_ok = first_deficit(elems, sizes) == h + 1
 
     deficits = tuple(
         multiset_count(h + step, 4) - sizes[h + step - 1] for step in steps

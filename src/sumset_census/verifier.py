@@ -24,17 +24,12 @@ import json
 import math
 import time
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
-from .compositions import (
-    Composition,
-    compositions_table,
-    disjoint_support_pairs,
-    multiset_count,
-)
+from .compositions import Composition, compositions_table, disjoint_support_pairs
 from .census import RepBoundViolation, SupportOverlapViolation
-from .engine import profile_naive, sumset_sizes
-from .guards import MAX_SUBSETS_ENV, require_budget, subset_budget
+from .engine import SumsetProfile, first_deficit, profile_naive, sumset_sizes
+from .guards import InvariantError, MAX_SUBSETS_ENV, require_budget, subset_budget
 
 
 @dataclass(frozen=True)
@@ -116,13 +111,14 @@ class DotProductRange:
     achievable: frozenset[int]
 
 
-def _order_is(elems: tuple[int, ...], h: int, m_of: list[int]) -> bool:
-    """True when the B_h order of elems is exactly h (deficit first at h+1)."""
-    sizes = sumset_sizes(elems, h + 1)
-    for i in range(1, h + 1):
-        if sizes[i - 1] != m_of[i]:
-            return False
-    return sizes[h] < m_of[h + 1]
+def _sets_of_order(
+    q: int, k: int, h: int
+) -> Iterator[tuple[tuple[int, ...], SumsetProfile]]:
+    """(A, profile_naive(A, h + 1)) for every k-subset A of [1..q] whose B_h
+    order is exactly h, in subset enumeration order."""
+    for elems in itertools.combinations(range(1, q + 1), k):
+        if first_deficit(elems, sumset_sizes(elems, h + 1)) == h + 1:
+            yield elems, profile_naive(elems, h + 1)
 
 
 def verify_ortho(
@@ -147,14 +143,11 @@ def verify_ortho(
         MAX_SUBSETS_ENV,
     )
     started = time.perf_counter()
-    m_of = [multiset_count(i, 4) for i in range(h + 2)]
     examined = 0
     violations: list[SupportOverlapViolation] = []
-    for elems in itertools.combinations(range(1, q + 1), 4):
-        if not _order_is(elems, h, m_of):
-            continue
+    for elems, profile in _sets_of_order(q, 4, h):
         examined += 1
-        for collision in profile_naive(elems, h + 1).collisions:
+        for collision in profile.collisions:
             for x, y in itertools.combinations(collision.vectors, 2):
                 if any(u and v for u, v in zip(x, y)):
                     violations.append(
@@ -192,17 +185,10 @@ def verify_repno(
     )
     started = time.perf_counter()
     bound = (k + 1) // 2
-    m_of = [multiset_count(i, k) for i in range(h + 2)]
     examined = 0
     violations: list[NamedTuple] = []
-    for elems in itertools.combinations(range(1, q + 1), k):
-        sizes = sumset_sizes(elems, h + 1)
-        if any(sizes[i - 1] != m_of[i] for i in range(1, h + 1)):
-            continue
-        if sizes[h] == m_of[h + 1]:
-            continue
+    for elems, profile in _sets_of_order(q, k, h):
         examined += 1
-        profile = profile_naive(elems, h + 1)
         for collision in profile.collisions:
             if len(collision.vectors) > bound:
                 violations.append(
@@ -266,7 +252,9 @@ def realize_total(s: int, h: int, q: int) -> RealizedTotal:
     composition = tuple(weights.get(e, 0) for e in elems)
     realized = sum(c * e for c, e in zip(composition, elems))
     if realized != s or sum(composition) != h + 1:
-        raise RuntimeError(f"recipe realized {realized} at degree {sum(composition)}, wanted {s}")
+        raise InvariantError(
+            f"recipe realized {realized} at degree {sum(composition)}, wanted {s}"
+        )
     return RealizedTotal(s, composition, elems)
 
 

@@ -11,7 +11,6 @@ from sumset_census import (
     SizeHistogram,
     count_pair_solutions,
     detect_gaps,
-    merge_histograms,
     multiset_count,
     run_census,
     tetrahedral,
@@ -100,18 +99,6 @@ class TestSharding:
         parallel = run_census(q=12, k=4, h_cap=3, shards=4, workers=2)
         assert parallel == reference
 
-    def test_histogram_merge_is_addition(self):
-        left = SizeHistogram(2, {10: 3, 9: 1})
-        right = SizeHistogram(2, {10: 2, 7: 5})
-        merged = left.merged(right)
-        assert merged.counts == {10: 5, 9: 1, 7: 5}
-        assert merged.total == 11
-        assert merge_histograms([left, right]).counts == merged.counts
-        with pytest.raises(ValueError):
-            left.merged(SizeHistogram(3, {}))
-        with pytest.raises(ValueError):
-            merge_histograms([])
-
 
 _PLAIN_REPORTS = {}
 
@@ -171,11 +158,16 @@ class TestViolationExpansion:
 
 
 def _vanishing_deficit(monkeypatch):
-    # a zero maximum at fold 3 lets every deficit found at fold 2 vanish
-    real = census.multiset_count
-    monkeypatch.setattr(
-        census, "multiset_count", lambda h, k: 0 if h == 3 else real(h, k)
-    )
+    # a kernel that reads fold 3 as full lets every deficit found at fold 2 vanish
+    real = census._fold_sizes
+
+    def fold_3_full(elems, h):
+        sizes = real(elems, h)
+        if h >= 3:
+            sizes[2] = multiset_count(3, len(elems))
+        return sizes
+
+    monkeypatch.setattr(census, "_fold_sizes", fold_3_full)
 
 
 class TestInvariantError:

@@ -75,6 +75,21 @@ class TestCensus:
         assert result.returncode == 3
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("verify", "ortho", "--q", "30", "--h", "2"),
+        ("verify", "repno", "--q", "30", "--h", "2"),
+        ("verify", "ddp", "--q", "30", "--h", "2"),
+        ("pairs", "--x", "2,0,0,1", "--y", "0,2,1,0", "--q", "30"),
+    ],
+)
+def test_sweep_budget_environment_exits_3(args):
+    result = run_cli(*args, env={"SUMSET_MAX_SUBSETS": "100"})
+    assert result.returncode == 3
+    assert "budget exceeded" in result.stderr
+
+
 class TestGaps:
     def test_writes_json_csv_svg(self, tmp_path):
         out = tmp_path / "gaps_out"

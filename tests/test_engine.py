@@ -13,9 +13,11 @@ from sumset_census import (
     profile_naive,
     sumset_sizes,
 )
-from sumset_census.guards import LemmaViolationError
+from sumset_census import engine
+from sumset_census.engine import first_deficit
+from sumset_census.guards import InvariantError, LemmaViolationError
 
-from oracles import folded_sizes, representation_counter
+from oracles import folded_sizes, order_of, representation_counter
 
 
 @st.composite
@@ -186,6 +188,29 @@ class TestClassify:
             first = deficient.index(True)
             assert all(deficient[first:])
         classify(elems, h_cap)  # must never raise the persistence error
+
+    @pytest.mark.parametrize("elems,fold", [((1, 2, 3, 4), 3), ((1, 2, 8, 10), 4)])
+    def test_vanished_deficit_is_an_invariant_error(self, monkeypatch, elems, fold):
+        # a kernel that reads the fold after the first deficit as full
+        real = engine._fold_sizes
+
+        def full_at_fold(e, h):
+            sizes = real(e, h)
+            sizes[fold - 1] = multiset_count(fold, len(e))
+            return sizes
+
+        monkeypatch.setattr(engine, "_fold_sizes", full_at_fold)
+        with pytest.raises(InvariantError, match=f"vanished at fold {fold}") as excinfo:
+            classify(elems, 4)
+        assert not isinstance(excinfo.value, LemmaViolationError)
+
+
+class TestFirstDeficit:
+    @given(small_sets(max_q=40), st.integers(1, 5))
+    @settings(max_examples=80)
+    def test_matches_order_oracle(self, elems, h):
+        h_star, capped = order_of(elems, h)
+        assert first_deficit(elems, sumset_sizes(elems, h)) == (0 if capped else h_star + 1)
 
 
 class TestGapBoundCheck:

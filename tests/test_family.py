@@ -4,6 +4,8 @@ from hypothesis import strategies as st
 
 from sumset_census import (
     FamilyParams,
+    InvariantError,
+    cli,
     family_size,
     generate_family,
     member_at,
@@ -83,6 +85,21 @@ class TestMemberAt:
         assert 3 * a <= b <= p.b_max and a <= p.a_max and d >= p.d_min
         assert 2 * a + c == 3 * b  # the built-in collision
         assert 3 * c < d  # separation
+
+
+class TestMalformedMember:
+    @pytest.fixture
+    def d_min_below_c(self, monkeypatch):
+        monkeypatch.setattr(FamilyParams, "d_min", property(lambda self: 2))
+
+    def test_raises_invariant_error(self, d_min_below_c):
+        with pytest.raises(InvariantError, match="malformed member"):
+            member_at(FamilyParams(2, 8000), 0)
+
+    def test_cli_exits_4(self, d_min_below_c, capsys):
+        # members are emitted in index order, so index 0 comes first
+        assert cli.main(["family", "--h", "2", "--q", "8000"]) == cli.EXIT_INVARIANT == 4
+        assert "malformed member" in capsys.readouterr().err
 
 
 class TestGenerateFamily:

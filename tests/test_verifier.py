@@ -5,6 +5,8 @@ import pytest
 
 from sumset_census import (
     BudgetExceededError,
+    InvariantError,
+    verifier,
     profile_naive,
     realize_total,
     verify_ddp,
@@ -137,6 +139,12 @@ class TestRealizeTotal:
         # which does not fit below q here
         with pytest.raises(ValueError):
             realize_total(40, 8, 7)
+
+    def test_broken_recipe_is_an_invariant_error(self, monkeypatch):
+        # a quotient one too large: the witness realizes s + h, not s
+        monkeypatch.setattr(verifier, "divmod", lambda s, h: divmod(s + h, h), raising=False)
+        with pytest.raises(InvariantError, match="recipe realized 32 at degree 3, wanted 30"):
+            realize_total(30, 2, 30)
 
     def test_rejects_degenerate(self):
         with pytest.raises(ValueError):
