@@ -30,7 +30,7 @@ import math
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .compositions import (
     Composition,
@@ -397,12 +397,17 @@ class CensusReport:
 
     def histograms_csv(self) -> str:
         """All histograms as CSV rows h,size,count sorted by (h, size desc)."""
-        lines = ["h,size,count"]
-        for h in range(1, self.h_cap + 1):
-            counts = self.histograms[h].counts
-            for size in sorted(counts, reverse=True):
-                lines.append(f"{h},{size},{counts[size]}")
-        return "\n".join(lines) + "\n"
+        return _histograms_csv(self.histograms, range(1, self.h_cap + 1))
+
+
+def _histograms_csv(histograms: dict[int, SizeHistogram], folds: Iterable[int]) -> str:
+    """CSV rows h,size,count for the given folds in order, size descending."""
+    lines = ["h,size,count"]
+    for h in folds:
+        counts = histograms[h].counts
+        for size in sorted(counts, reverse=True):
+            lines.append(f"{h},{size},{counts[size]}")
+    return "\n".join(lines) + "\n"
 
 
 def run_census(

@@ -16,7 +16,7 @@ import json
 import sys
 from pathlib import Path
 
-from .census import count_pair_solutions, run_census
+from .census import _histograms_csv, count_pair_solutions, run_census
 from .engine import SetVector, profile_naive
 from .family import FamilyParams, family_size, generate_family, member_record, verify_member
 from .guards import BudgetExceededError, InvariantError, LemmaViolationError
@@ -105,12 +105,8 @@ def cmd_gaps(args: argparse.Namespace) -> int:
     }
     text = json.dumps(payload, indent=2) + "\n"
     sys.stdout.write(text)
-    hist = report.histograms[args.h]
-    csv_lines = ["h,size,count"]
-    for size in sorted(hist.counts, reverse=True):
-        csv_lines.append(f"{args.h},{size},{hist.counts[size]}")
     svg = histogram_svg(
-        hist.counts,
+        report.histograms[args.h].counts,
         args.h,
         gap.ladder,
         title=f"{args.h}-fold sumset sizes over 4-subsets of [1..{args.q}]",
@@ -118,7 +114,7 @@ def cmd_gaps(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "gaps.json").write_text(text)
-    (out / "gaps.csv").write_text("\n".join(csv_lines) + "\n")
+    (out / "gaps.csv").write_text(_histograms_csv(report.histograms, [args.h]))
     (out / "gaps.svg").write_text(svg)
     print(f"# gaps q={args.q} h={args.h}: wrote {out}/gaps.{{json,csv,svg}}", file=sys.stderr)
     return EXIT_VIOLATION if report.violation_count else EXIT_OK
@@ -148,7 +144,9 @@ def cmd_family(args: argparse.Namespace) -> int:
         lines.append(json.dumps(member_record(member, verification)))
     text = "\n".join(lines) + "\n"
     if args.out:
-        Path(args.out).write_text(text)
+        out = Path(args.out)
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(text)
     else:
         sys.stdout.write(text)
     print(

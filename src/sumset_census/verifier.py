@@ -6,6 +6,14 @@ everywhere.  The sweeps deliberately go through profile_naive, the exact
 composition-enumeration oracle, rather than the census fast path, so they
 double as an independent route to the same facts.
 
+Translating a set by c adds c*i to every i-fold sum and leaves every
+composition alone, so each sweep does its expensive step once per
+translation class (gap pattern), on the translate starting at 1, and
+counts every translate of it; ortho and repno re-check a translate on its
+own elements only when its pattern violated, so violations name explicit
+subsets.  Instances and violations come out in subset enumeration order,
+exactly as a plain per-subset sweep gives them.
+
 Verified statements, at desk scale:
   ortho      colliding vector pairs at the first colliding order have
              pairwise disjoint supports
@@ -24,10 +32,10 @@ import json
 import math
 import time
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .compositions import Composition, compositions_table, disjoint_support_pairs
-from .census import RepBoundViolation, SupportOverlapViolation
+from .census import RepBoundViolation, SupportOverlapViolation, _rep_bound
 from .engine import SumsetProfile, first_deficit, profile_naive, sumset_sizes
 from .guards import InvariantError, MAX_SUBSETS_ENV, require_budget, subset_budget
 
@@ -111,14 +119,60 @@ class DotProductRange:
     achievable: frozenset[int]
 
 
-def _sets_of_order(
-    q: int, k: int, h: int
-) -> Iterator[tuple[tuple[int, ...], SumsetProfile]]:
-    """(A, profile_naive(A, h + 1)) for every k-subset A of [1..q] whose B_h
-    order is exactly h, in subset enumeration order."""
-    for elems in itertools.combinations(range(1, q + 1), k):
-        if first_deficit(elems, sumset_sizes(elems, h + 1)) == h + 1:
-            yield elems, profile_naive(elems, h + 1)
+def _violations_by_set(
+    q: int, k: int, h: int, check: Callable[[tuple[int, ...], SumsetProfile], list]
+) -> Iterator[list]:
+    """check(A, profile_naive(A, h + 1)) for every k-subset A of [1..q] whose
+    B_h order is exactly h, in subset enumeration order.
+
+    The subsets starting at 1 are the gap patterns; each is classified and
+    checked once, on itself.  The subsets starting at c + 1 are the
+    translates by c of the patterns with largest element at most q - c, met
+    in the same order, so a later pass walks the qualifying patterns again
+    and re-checks a translate on its own elements only when its pattern
+    violated.
+    """
+    qualifying: list[tuple[int, ...]] = []
+    violated: set[tuple[int, ...]] = set()
+    for rest in itertools.combinations(range(2, q + 1), k - 1):
+        pattern = (1,) + rest
+        if first_deficit(pattern, sumset_sizes(pattern, h + 1)) == h + 1:
+            found = check(pattern, profile_naive(pattern, h + 1))
+            qualifying.append(pattern)
+            if found:
+                violated.add(pattern)
+            yield found
+    for c in range(1, q - k + 1):
+        qualifying = [p for p in qualifying if p[-1] + c <= q]
+        for pattern in qualifying:
+            if pattern in violated:
+                elems = tuple(e + c for e in pattern)
+                yield check(elems, profile_naive(elems, h + 1))
+            else:
+                yield []
+
+
+def _support_overlaps(elems: tuple[int, ...], profile: SumsetProfile) -> list:
+    """Vector pairs of one collision at order profile.h that share a slot."""
+    return [
+        SupportOverlapViolation(elems, profile.h - 1, collision.n, x, y)
+        for collision in profile.collisions
+        for x, y in itertools.combinations(collision.vectors, 2)
+        if any(u and v for u, v in zip(x, y))
+    ]
+
+
+def _rep_excesses(elems: tuple[int, ...], profile: SumsetProfile) -> list:
+    """Sums over the representation bound, or the missing collision."""
+    bound = _rep_bound(len(elems))
+    found: list[NamedTuple] = [
+        RepBoundViolation(elems, profile.h - 1, collision.n, len(collision.vectors))
+        for collision in profile.collisions
+        if len(collision.vectors) > bound
+    ]
+    if profile.max_reps < 2:
+        found.append(MissingCollisionViolation(elems, profile.h - 1))
+    return found
 
 
 def verify_ortho(
@@ -145,14 +199,9 @@ def verify_ortho(
     started = time.perf_counter()
     examined = 0
     violations: list[SupportOverlapViolation] = []
-    for elems, profile in _sets_of_order(q, 4, h):
+    for found in _violations_by_set(q, 4, h, _support_overlaps):
         examined += 1
-        for collision in profile.collisions:
-            for x, y in itertools.combinations(collision.vectors, 2):
-                if any(u and v for u, v in zip(x, y)):
-                    violations.append(
-                        SupportOverlapViolation(elems, h, collision.n, x, y)
-                    )
+        violations.extend(found)
         if sample is not None and examined >= sample:
             break
     return LemmaVerdict(
@@ -184,21 +233,14 @@ def verify_repno(
         MAX_SUBSETS_ENV,
     )
     started = time.perf_counter()
-    bound = (k + 1) // 2
     examined = 0
     violations: list[NamedTuple] = []
-    for elems, profile in _sets_of_order(q, k, h):
+    for found in _violations_by_set(q, k, h, _rep_excesses):
         examined += 1
-        for collision in profile.collisions:
-            if len(collision.vectors) > bound:
-                violations.append(
-                    RepBoundViolation(elems, h, collision.n, len(collision.vectors))
-                )
-        if profile.max_reps < 2:
-            violations.append(MissingCollisionViolation(elems, h))
+        violations.extend(found)
     return LemmaVerdict(
         lemma="repno",
-        params={"q": q, "k": k, "h": h, "bound": bound},
+        params={"q": q, "k": k, "h": h, "bound": _rep_bound(k)},
         instances=examined,
         violations=tuple(violations),
         elapsed_s=time.perf_counter() - started,
@@ -285,12 +327,7 @@ def verify_ddp(
         except ValueError as exc:
             violations.append(DdpViolation("recipe", s, str(exc)))
 
-    achievable: set[int] = set()
-    comps = compositions_table(h + 1, 4)
-    for elems in itertools.combinations(range(1, q + 1), 4):
-        e0, e1, e2, e3 = elems
-        for x in comps:
-            achievable.add(x[0] * e0 + x[1] * e1 + x[2] * e2 + x[3] * e3)
+    achievable = _dot_products(q, h)
     for s in range(lo, hi + 1):
         if s not in achievable:
             violations.append(DdpViolation("enumeration", s, "not attained by any (A, x)"))
@@ -319,9 +356,29 @@ def verify_ddp(
         hi=hi,
         min_achievable=min_seen,
         max_achievable=max_seen,
-        achievable=frozenset(achievable),
+        achievable=achievable,
     )
     return verdict, dot_range
+
+
+def _dot_products(q: int, h: int) -> frozenset[int]:
+    """Every x . A over compositions x of h + 1 into 4 parts and 4-subsets A
+    of [1..q].
+
+    A = c + (0, d1, d2, span) gives x . A = (h+1)c + x . (0, d1, d2, span),
+    so the dot products of each pattern are enumerated once, gathered in one
+    bitmask per span, and shifted by (h+1)c for c = 1..q-span.
+    """
+    comps = compositions_table(h + 1, 4)
+    mask = 0
+    for span in range(3, q):
+        dots = 0
+        for d1, d2 in itertools.combinations(range(1, span), 2):
+            for x in comps:
+                dots |= 1 << (x[1] * d1 + x[2] * d2 + x[3] * span)
+        for c in range(1, q - span + 1):
+            mask |= dots << ((h + 1) * c)
+    return frozenset(t for t in range(mask.bit_length()) if mask >> t & 1)
 
 
 def verify_paircount(h_max: int) -> LemmaVerdict:

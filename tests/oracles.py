@@ -7,17 +7,17 @@ from plain set folding, and pair solutions from literal nested loops.  When
 the package and these helpers agree, two unrelated routes reached the same
 numbers.
 
-Two helpers instead keep the package's earlier plain algorithms alive as
-references for its shortcuts: the per-subset census sweep (the package
-sweeps gap patterns) and the pairwise disjoint-support scan (the package
-counts by support mask).
+The remaining helpers instead keep the package's earlier plain algorithms
+alive as references for its shortcuts: the per-subset census sweep and the
+per-subset ortho, repno and ddp sweeps (the package sweeps gap patterns),
+and the pairwise disjoint-support scan (the package counts by support mask).
 """
 
 from collections import Counter
 from functools import cache
 import itertools
 
-from sumset_census import census
+from sumset_census import census, verifier
 from sumset_census.census import (
     DeficitLadderViolation,
     RepBoundViolation,
@@ -194,3 +194,58 @@ def plain_census(q, k, h_cap, shards=1):
     """CensusReport of the per-subset sweep, merged as run_census merges."""
     tallies = [plain_census_shard(q, k, h_cap, s, shards) for s in range(shards)]
     return census._merge_report(q, k, h_cap, tallies)
+
+
+def _plain_sets_of_order(q, k, h):
+    """(A, profile at h + 1) for every k-subset A of [1..q] of B_h order
+    exactly h, one subset at a time, through the verifier module's bindings
+    at call time, so a test that patches them there patches this sweep too."""
+    for elems in itertools.combinations(range(1, q + 1), k):
+        sizes = verifier.sumset_sizes(elems, h + 1)
+        if verifier.first_deficit(elems, sizes) == h + 1:
+            yield elems, verifier.profile_naive(elems, h + 1)
+
+
+def plain_ortho(q, h, sample=None):
+    """LemmaVerdict of the per-subset ortho sweep."""
+    examined = 0
+    violations = []
+    for elems, profile in _plain_sets_of_order(q, 4, h):
+        examined += 1
+        for collision in profile.collisions:
+            for x, y in itertools.combinations(collision.vectors, 2):
+                if any(u and v for u, v in zip(x, y)):
+                    violations.append(SupportOverlapViolation(elems, h, collision.n, x, y))
+        if sample is not None and examined >= sample:
+            break
+    params = {"q": q, "h": h, "sample": 0 if sample is None else sample}
+    return verifier.LemmaVerdict("ortho", params, examined, tuple(violations), 0.0)
+
+
+def plain_repno(q, k, h):
+    """LemmaVerdict of the per-subset repno sweep."""
+    bound = verifier._rep_bound(k)
+    examined = 0
+    violations = []
+    for elems, profile in _plain_sets_of_order(q, k, h):
+        examined += 1
+        for collision in profile.collisions:
+            if len(collision.vectors) > bound:
+                violations.append(
+                    RepBoundViolation(elems, h, collision.n, len(collision.vectors))
+                )
+        if profile.max_reps < 2:
+            violations.append(verifier.MissingCollisionViolation(elems, h))
+    params = {"q": q, "k": k, "h": h, "bound": bound}
+    return verifier.LemmaVerdict("repno", params, examined, tuple(violations), 0.0)
+
+
+def plain_ddp_achievable(q, h):
+    """Every (h+1)-fold dot product over every 4-subset of [1..q], one
+    subset at a time."""
+    achievable = set()
+    comps = compositions_table(h + 1, 4)
+    for e0, e1, e2, e3 in itertools.combinations(range(1, q + 1), 4):
+        for x in comps:
+            achievable.add(x[0] * e0 + x[1] * e1 + x[2] * e2 + x[3] * e3)
+    return frozenset(achievable)

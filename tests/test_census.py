@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import multiprocessing
 
 import pytest
 
@@ -182,6 +183,19 @@ class TestInvariantError:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "internal check failed" in captured.err
+        assert "vanished at fold 3" in captured.err
+
+    def test_crosses_a_worker_process(self, monkeypatch, capsys):
+        # the patched kernel reaches the workers only when they are forked
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("worker processes are not forked")
+        _vanishing_deficit(monkeypatch)
+        with pytest.raises(InvariantError, match="vanished at fold 3"):
+            run_census(q=14, k=4, h_cap=4, shards=2, workers=2)
+        argv = ["census", "--q", "14", "--h-cap", "4", "--shards", "2", "--workers", "2"]
+        assert cli.main(argv) == cli.EXIT_INVARIANT
+        captured = capsys.readouterr()
+        assert captured.out == ""
         assert "vanished at fold 3" in captured.err
 
     def test_is_not_a_lemma_violation(self):

@@ -147,6 +147,15 @@ class TestFamily:
         assert len(lines) == 4  # header + 3 members
         assert json.loads(lines[0])["limit"] == 3
 
+    def test_out_file_in_missing_directory(self, tmp_path):
+        out = tmp_path / "results" / "family" / "members.jsonl"
+        result = run_cli(
+            "family", "--h", "2", "--q", "8000", "--limit", "3", "--out", str(out)
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == ""
+        assert len(out.read_text().splitlines()) == 4
+
 
 class TestVerify:
     def test_pairs_passes(self):

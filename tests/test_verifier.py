@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 
@@ -5,7 +6,9 @@ import pytest
 
 from sumset_census import (
     BudgetExceededError,
+    Collision,
     InvariantError,
+    cli,
     verifier,
     profile_naive,
     realize_total,
@@ -16,7 +19,16 @@ from sumset_census import (
 )
 from sumset_census.verifier import DdpViolation, RealizedTotal
 
-from oracles import composition_count, order_of, representation_counter
+from oracles import (
+    composition_count,
+    order_of,
+    plain_ddp_achievable,
+    plain_ortho,
+    plain_repno,
+    representation_counter,
+)
+
+DEFAULT_GRID = [(q, h) for q in cli.DEFAULT_GRID_Q for h in cli.DEFAULT_GRID_H]
 
 
 class TestPairCount:
@@ -228,3 +240,76 @@ def test_verifiers_agree_with_census_route():
     assert report.violation_count == 0
     for h in (1, 2, 3):
         assert verify_ortho(16, h).passed
+
+
+class TestPatternSweepMatchesPlainSweep:
+    """Each sweep evaluates one gap pattern per translation class; the plain
+    per-subset sweeps in oracles.py are the reference, byte for byte."""
+
+    @pytest.mark.parametrize("q,h", DEFAULT_GRID)
+    def test_default_grid_verdict_bytes(self, q, h, monkeypatch):
+        assert verify_ortho(q, h).to_json() == plain_ortho(q, h).to_json()
+        assert verify_repno(q, 4, h).to_json() == plain_repno(q, 4, h).to_json()
+        verdict, dot_range = verify_ddp(q, h)
+        monkeypatch.setattr(verifier, "_dot_products", plain_ddp_achievable)
+        plain_verdict, plain_range = verify_ddp(q, h)
+        assert verdict.to_json() == plain_verdict.to_json()
+        assert dot_range == plain_range
+
+    @pytest.mark.parametrize("q,k,h", [(16, 5, 2), (12, 5, 3)])
+    def test_five_element_repno_bytes(self, q, k, h):
+        assert verify_repno(q, k, h).to_json() == plain_repno(q, k, h).to_json()
+
+    @pytest.mark.parametrize("q,h,sample", [(30, 2, 5), (20, 3, 40)])
+    def test_sampled_ortho_bytes(self, q, h, sample):
+        verdict = verify_ortho(q, h, sample=sample)
+        assert verdict.instances == sample
+        assert verdict.to_json() == plain_ortho(q, h, sample=sample).to_json()
+
+    @pytest.mark.parametrize("q,h", [(7, 8), (20, 2), (30, 4)])
+    def test_achievable_dot_products(self, q, h):
+        assert verify_ddp(q, h)[1].achievable == plain_ddp_achievable(q, h)
+
+
+def _assert_explicit_violations(verdict):
+    # every qualifying set violates, in enumeration order, and each violation
+    # names its own subset and one of that subset's colliding sums
+    elements = [v.elements for v in verdict.violations]
+    assert len(set(elements)) == verdict.instances
+    assert elements == sorted(elements)
+    assert any(e[0] > 1 for e in elements)
+    for v in verdict.violations:
+        collisions = profile_naive(v.elements, v.h_star + 1).collisions
+        assert v.n in {c.n for c in collisions}
+
+
+class TestFaultInjection:
+    """Faults that make every qualifying set violate: the pattern sweep must
+    then report exactly what the plain sweep reports."""
+
+    @pytest.mark.parametrize("q,k,h", [(20, 4, 2), (16, 5, 2)])
+    def test_rep_bound_of_one(self, q, k, h, monkeypatch):
+        monkeypatch.setattr(verifier, "_rep_bound", lambda k: 1)
+        verdict = verify_repno(q, k, h)
+        assert verdict.params["bound"] == 1
+        assert verdict.to_json() == plain_repno(q, k, h).to_json()
+        _assert_explicit_violations(verdict)
+
+    def test_overlapping_vector_pair(self, monkeypatch):
+        real = verifier.profile_naive
+
+        def first_vector_twice(a, h, *args, **kwargs):
+            # the first collision also lists its first vector again, which
+            # overlaps itself
+            profile = real(a, h, *args, **kwargs)
+            first, *rest = profile.collisions
+            doubled = Collision(first.n, first.vectors + first.vectors[:1])
+            return dataclasses.replace(profile, collisions=(doubled, *rest))
+
+        monkeypatch.setattr(verifier, "profile_naive", first_vector_twice)
+        verdict = verify_ortho(20, 2)
+        assert verdict.to_json() == plain_ortho(20, 2).to_json()
+        _assert_explicit_violations(verdict)
+        assert verify_ortho(20, 3, sample=40).to_json() == plain_ortho(
+            20, 3, sample=40
+        ).to_json()
