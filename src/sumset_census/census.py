@@ -3,7 +3,7 @@
 The sweep computes |iA| for i = 1..h_cap with the engine's bitmap kernel,
 classifies the B_h order from the engine's first-deficit rule, and checks the
 collision-structure lemmas on the way, using the engine's collision scan at
-the first colliding order: the deficit ladder below the first collision, the
+the first colliding order: the deficit ladder past the first collision, the
 representation bound at order h_star + 1, and pairwise support disjointness
 of colliding vectors.  Per-order size histograms, population tallies and any
 violations are accumulated exactly.
@@ -11,7 +11,9 @@ violations are accumulated exactly.
 Every tallied figure depends on a subset only through its gap pattern up to
 reflection, so the sweep goes over gap patterns, evaluates one of each
 mirror pair, and counts it once per subset it stands for (see
-_census_shard).  Violations still name explicit subsets.
+_census_shard).  Violations name explicit subsets: when a pattern violates,
+its translates are evaluated again only to collect theirs, and add nothing
+to the tallies.
 
 Work is partitioned by span (largest minus smallest element) into shards.
 Shard tallies merge by plain addition and list concatenation followed by
@@ -35,6 +37,7 @@ from typing import Iterable, NamedTuple
 from .compositions import (
     Composition,
     compositions_table,
+    figurate_gap,
     multiset_count,
     tetrahedral,
 )
@@ -95,7 +98,7 @@ class GapReport:
     exceeds every count at sizes strictly inside the adjacent gaps; ratios
     report that contrast (None when the adjacent bands are empty, an infinite
     contrast).  strongly_confirmed additionally demands a ratio of at least
-    the configured threshold.
+    DEFAULT_STRONG_RATIO.
     """
 
     h: int
@@ -109,9 +112,7 @@ class GapReport:
     inconclusive: bool
 
 
-def detect_gaps(
-    hist: SizeHistogram, h: int, strong_ratio: float = DEFAULT_STRONG_RATIO
-) -> GapReport:
+def detect_gaps(hist: SizeHistogram, h: int) -> GapReport:
     """Rung confirmation for the k=4 deficit ladder at fold h.
 
     The report is marked inconclusive when some rung was never attained or
@@ -145,7 +146,7 @@ def detect_gaps(
             strongly.append(ok)
         else:
             ratios.append(rung_count / adj_max)
-            strongly.append(ok and rung_count >= strong_ratio * adj_max)
+            strongly.append(ok and rung_count >= DEFAULT_STRONG_RATIO * adj_max)
     inconclusive = any(c == 0 for c in counts) or all(len(b) == 0 for b in bands)
     return GapReport(
         h=h,
@@ -170,9 +171,7 @@ class _ShardTally:
     rep_profile: Counter
     capped: int
     subsets: int
-    ladder_violations: list[DeficitLadderViolation]
-    rep_violations: list[RepBoundViolation]
-    support_violations: list[SupportOverlapViolation]
+    violations: list[DeficitLadderViolation | RepBoundViolation | SupportOverlapViolation]
 
     @classmethod
     def empty(cls, h_cap: int) -> "_ShardTally":
@@ -183,21 +182,8 @@ class _ShardTally:
             rep_profile=Counter(),
             capped=0,
             subsets=0,
-            ladder_violations=[],
-            rep_violations=[],
-            support_violations=[],
+            violations=[],
         )
-
-
-class _SetEvaluation(NamedTuple):
-    """Everything the census tallies about one set."""
-
-    sizes: list[int]
-    first_deficit: int
-    max_reps: int
-    ladder_violations: list[DeficitLadderViolation]
-    rep_violations: list[RepBoundViolation]
-    support_violations: list[SupportOverlapViolation]
 
 
 def _rep_bound(k: int) -> int:
@@ -217,7 +203,11 @@ class _SetEvaluator:
         self.k = k
         self.h_cap = h_cap
         self.m_of = [multiset_count(i, k) for i in range(h_cap + 1)]
-        self.tetra = [tetrahedral(j) for j in range(h_cap + 1)]
+        # per h_star: the forced deficit at h_star + step, step = 1, 2, ...
+        self.ladder = {
+            h: [figurate_gap(h, step, k) for step in range(1, h_cap - h + 1)]
+            for h in range(1, h_cap)
+        }
         # per composition: bitmask of occupied slots, for pairwise disjointness
         self.supp_of = {
             d: [sum(1 << i for i, v in enumerate(x) if v) for x in compositions_table(d, k)]
@@ -225,23 +215,27 @@ class _SetEvaluator:
         }
         self.rep_bound = _rep_bound(k)
 
-    def evaluate(self, elems: tuple[int, ...]) -> _SetEvaluation:
-        h_cap = self.h_cap
+    def evaluate(self, elems: tuple[int, ...], tally: _ShardTally, weight: int) -> list:
+        """Count elems weight times into tally and return its violations.
+
+        Weight 0 adds nothing to the tally; the violations still name elems.
+        """
         m_of = self.m_of
-        sizes = _fold_sizes(elems, h_cap)
+        sizes = _fold_sizes(elems, self.h_cap)
         first = first_deficit(elems, sizes)
-        ladder_v: list[DeficitLadderViolation] = []
-        rep_v: list[RepBoundViolation] = []
-        support_v: list[SupportOverlapViolation] = []
+        if weight:
+            tally.subsets += weight
+            for i, size in enumerate(sizes):
+                tally.hist[i][size] += weight
         if not first:
-            return _SetEvaluation(sizes, 0, 0, ladder_v, rep_v, support_v)
+            tally.capped += weight
+            return []
         h_star = first - 1
-        for step in range(1, h_cap - h_star + 1):
+        violations: list = []
+        for step, bound in enumerate(self.ladder[h_star], 1):
             deficit = m_of[h_star + step] - sizes[h_star + step - 1]
-            if deficit < self.tetra[step]:
-                ladder_v.append(
-                    DeficitLadderViolation(elems, h_star, step, deficit, self.tetra[step])
-                )
+            if deficit < bound:
+                violations.append(DeficitLadderViolation(elems, h_star, step, deficit, bound))
         # collision structure at the first colliding order
         size, groups = _collision_scan(elems, first)
         if size != sizes[h_star]:
@@ -258,34 +252,22 @@ class _SetEvaluator:
             if r > max_reps:
                 max_reps = r
             if r > self.rep_bound:
-                rep_v.append(RepBoundViolation(elems, h_star, t, r))
+                violations.append(RepBoundViolation(elems, h_star, t, r))
             for i in range(r):
                 for j in range(i + 1, r):
                     if supp[idxs[i]] & supp[idxs[j]]:
                         comps = compositions_table(first, self.k)
-                        support_v.append(
+                        violations.append(
                             SupportOverlapViolation(
                                 elems, h_star, t, comps[idxs[i]], comps[idxs[j]]
                             )
                         )
-        return _SetEvaluation(sizes, first, max_reps, ladder_v, rep_v, support_v)
-
-    def add(self, tally: _ShardTally, ev: _SetEvaluation, weight: int) -> None:
-        """Count one evaluated set weight times; violations are added as is."""
-        tally.subsets += weight
-        for i, size in enumerate(ev.sizes):
-            tally.hist[i][size] += weight
-        if not ev.first_deficit:
-            tally.capped += weight
-            return
-        h_star = ev.first_deficit - 1
-        tally.bstar[h_star] += weight
-        if self.m_of[ev.first_deficit] - ev.sizes[h_star] >= 2:
-            tally.exceptional[h_star] += weight
-        tally.rep_profile[(h_star, ev.max_reps)] += weight
-        tally.ladder_violations.extend(ev.ladder_violations)
-        tally.rep_violations.extend(ev.rep_violations)
-        tally.support_violations.extend(ev.support_violations)
+        if weight:
+            tally.bstar[h_star] += weight
+            if m_of[first] - sizes[h_star] >= 2:
+                tally.exceptional[h_star] += weight
+            tally.rep_profile[(h_star, max_reps)] += weight
+        return violations
 
 
 def _census_shard(args: tuple[int, int, int, int, int]) -> _ShardTally:
@@ -298,8 +280,9 @@ def _census_shard(args: tuple[int, int, int, int, int]) -> _ShardTally:
     disjointness are unchanged.  Each mirror pair is evaluated once, on the
     lexicographically smaller pattern, and counted for its q - span
     translates, twice over when the pattern is not its own mirror.
-    Violations name explicit subsets, so a pattern with any violation is
-    re-evaluated on each of those subsets and their violations kept instead.
+    Violations name explicit subsets, so when a pattern violates, each
+    translate of it and of its mirror is evaluated at weight 0, which adds
+    nothing to the tallies, and its violations are kept instead.
     """
     q, k, h_cap, shard_index, shards = args
     evaluator = _SetEvaluator(k, h_cap)
@@ -313,15 +296,13 @@ def _census_shard(args: tuple[int, int, int, int, int]) -> _ShardTally:
                 continue
             pattern = (0,) + interior + (span,)
             symmetric = interior == mirrored
-            ev = evaluator.evaluate(pattern)
-            if not (ev.ladder_violations or ev.rep_violations or ev.support_violations):
-                evaluator.add(tally, ev, (q - span) * (1 if symmetric else 2))
+            if not evaluator.evaluate(pattern, tally, (q - span) * (1 if symmetric else 2)):
                 continue
             shapes = [pattern] if symmetric else [pattern, (0,) + mirrored + (span,)]
             for shape in shapes:
                 for c in range(1, q - span + 1):
                     elems = tuple(c + s for s in shape)
-                    evaluator.add(tally, evaluator.evaluate(elems), 1)
+                    tally.violations.extend(evaluator.evaluate(elems, tally, 0))
     return tally
 
 
@@ -462,9 +443,7 @@ def _merge_report(q: int, k: int, h_cap: int, tallies: list[_ShardTally]) -> Cen
         merged.rep_profile.update(t.rep_profile)
         merged.capped += t.capped
         merged.subsets += t.subsets
-        merged.ladder_violations.extend(t.ladder_violations)
-        merged.rep_violations.extend(t.rep_violations)
-        merged.support_violations.extend(t.support_violations)
+        merged.violations.extend(t.violations)
     hist = merged.hist
 
     if merged.subsets != n_subsets:
@@ -486,6 +465,10 @@ def _merge_report(q: int, k: int, h_cap: int, tallies: list[_ShardTally]) -> Cen
     rep_profiles: dict[int, dict[int, int]] = {}
     for (h_star, r), count in sorted(merged.rep_profile.items()):
         rep_profiles.setdefault(h_star, {})[r] = count
+
+    def of_kind(kind: type) -> tuple:
+        return tuple(sorted(v for v in merged.violations if isinstance(v, kind)))
+
     return CensusReport(
         q=q,
         k=k,
@@ -496,9 +479,9 @@ def _merge_report(q: int, k: int, h_cap: int, tallies: list[_ShardTally]) -> Cen
         capped=merged.capped,
         gaps=gaps,
         rep_profiles=rep_profiles,
-        ladder_violations=tuple(sorted(merged.ladder_violations)),
-        rep_violations=tuple(sorted(merged.rep_violations)),
-        support_violations=tuple(sorted(merged.support_violations)),
+        ladder_violations=of_kind(DeficitLadderViolation),
+        rep_violations=of_kind(RepBoundViolation),
+        support_violations=of_kind(SupportOverlapViolation),
     )
 
 

@@ -17,12 +17,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .guards import BudgetExceededError
+from .guards import MAX_COMPOSITIONS_ENV, composition_budget, require_budget
 
 Composition = tuple[int, ...]
-
-# Ceiling on vector pairs one disjoint-support scan may visit.
-DEFAULT_PAIR_BUDGET = 100_000_000
 
 
 def multiset_count(h: int, k: int) -> int:
@@ -111,7 +108,7 @@ class PairCensus:
 
 
 def disjoint_support_pairs(
-    h: int, k: int, pair_budget: int = DEFAULT_PAIR_BUDGET
+    h: int, k: int, max_compositions: int | None = None
 ) -> PairCensus:
     """Census of pairs {x, y} of distinct compositions of h with x . y == 0.
 
@@ -123,17 +120,19 @@ def disjoint_support_pairs(
     nontrivial_pairs drops the C(k,2) pairs where both vectors have singleton
     support: those encode h*a = h*b, impossible for distinct elements, so
     they can never witness a collision.  For k=4 the two counts follow the
-    closed forms 5h^2+1 and 5h^2-5.  The budget bounds the pairs a pairwise
-    scan would visit.
+    closed forms 5h^2+1 and 5h^2-5.  The composition budget bounds the
+    multiset_count(h, k) compositions enumerated.
     """
     if h < 1:
         raise ValueError(f"fold count must be >= 1, got h={h}")
     if k < 2:
         raise ValueError(f"set size must be >= 2, got k={k}")
-    m = multiset_count(h, k)
-    pairs = m * (m - 1) // 2
-    if pairs > pair_budget:
-        raise BudgetExceededError("disjoint-support pair scan", pairs, pair_budget)
+    require_budget(
+        f"disjoint-support pair census for h={h}, k={k}",
+        multiset_count(h, k),
+        composition_budget(max_compositions),
+        MAX_COMPOSITIONS_ENV,
+    )
     by_mask = Counter(
         sum(1 << i for i, v in enumerate(x) if v) for x in compositions_table(h, k)
     )

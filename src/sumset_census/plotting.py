@@ -14,6 +14,8 @@ from xml.sax.saxutils import escape
 BAR_FILL = "#4878a8"
 RUNG_FILL = "#c44e52"
 AXIS_COLOR = "#333333"
+WIDTH = 960
+HEIGHT = 480
 
 
 def _rect(x: float, y: float, w: float, h: float, fill: str, css: str) -> str:
@@ -43,8 +45,6 @@ def histogram_svg(
     h: int,
     ladder: Sequence[int],
     title: str = "",
-    width: int = 960,
-    height: int = 480,
 ) -> str:
     """Render one bar per size between the lowest rung and the top size.
 
@@ -58,8 +58,8 @@ def histogram_svg(
     sizes = list(range(low, top + 1))
     rungs = set(ladder)
     margin_left, margin_right, margin_top, margin_bottom = 56.0, 16.0, 48.0, 56.0
-    plot_w = width - margin_left - margin_right
-    plot_h = height - margin_top - margin_bottom
+    plot_w = WIDTH - margin_left - margin_right
+    plot_h = HEIGHT - margin_top - margin_bottom
     slot = plot_w / len(sizes)
     bar_w = slot * 0.8
     max_count = max((counts.get(s, 0) for s in sizes), default=0)
@@ -73,19 +73,19 @@ def histogram_svg(
         return plot_h * math.log10(count) / log_top
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        _rect(0, 0, width, height, "#ffffff", "bg"),
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}">',
+        _rect(0, 0, WIDTH, HEIGHT, "#ffffff", "bg"),
     ]
     if title:
-        parts.append(_text(width / 2, margin_top / 2 + 4, title, 15))
+        parts.append(_text(WIDTH / 2, margin_top / 2 + 4, title, 15))
     baseline = margin_top + plot_h
-    parts.append(_line(margin_left, baseline, width - margin_right, baseline))
+    parts.append(_line(margin_left, baseline, WIDTH - margin_right, baseline))
     parts.append(
         _text(14, margin_top + plot_h / 2, "log10 count", 11, anchor="middle",
               extra=f' transform="rotate(-90 14 {margin_top + plot_h / 2:.1f})"')
     )
-    parts.append(_text(width / 2, height - 10, f"{h}-fold sumset size", 12))
+    parts.append(_text(WIDTH / 2, HEIGHT - 10, f"{h}-fold sumset size", 12))
     for i, size in enumerate(sizes):
         count = counts.get(size, 0)
         x = margin_left + i * slot + (slot - bar_w) / 2

@@ -123,7 +123,8 @@ def _violations_by_set(
     q: int, k: int, h: int, check: Callable[[tuple[int, ...], SumsetProfile], list]
 ) -> Iterator[list]:
     """check(A, profile_naive(A, h + 1)) for every k-subset A of [1..q] whose
-    B_h order is exactly h, in subset enumeration order.
+    B_h order is exactly h, in subset enumeration order.  Raises ValueError
+    when there is no such subset, so an empty sweep cannot pass.
 
     The subsets starting at 1 are the gap patterns; each is classified and
     checked once, on itself.  The subsets starting at c + 1 are the
@@ -142,6 +143,10 @@ def _violations_by_set(
             if found:
                 violated.add(pattern)
             yield found
+    if not qualifying:
+        raise ValueError(
+            f"no {k}-subset of [1..{q}] has B_h order exactly {h}: nothing to check"
+        )
     for c in range(1, q - k + 1):
         qualifying = [p for p in qualifying if p[-1] + c <= q]
         for pattern in qualifying:
@@ -191,6 +196,8 @@ def verify_ortho(
         raise ValueError(f"need q >= 4, got {q}")
     if h < 1:
         raise ValueError(f"order must be >= 1, got h={h}")
+    if sample is not None and sample < 1:
+        raise ValueError(f"sample must be >= 1, got {sample}")
     n_subsets = math.comb(q, 4)
     require_budget(
         f"ortho sweep over C({q},4) subsets", n_subsets, subset_budget(max_subsets),

@@ -111,7 +111,6 @@ def plain_census_shard(q, k, h_cap, shard_index=0, shards=1):
     Bounds are read through the census module at call time, so a test that
     patches them there patches this sweep too."""
     m_of = [census.multiset_count(i, k) for i in range(h_cap + 1)]
-    tetra = [census.tetrahedral(j) for j in range(h_cap + 1)]
     rep_bound = census._rep_bound(k)
     comp_of = {d: compositions_table(d, k) for d in range(2, h_cap + 1)}
     supp_of = {
@@ -156,9 +155,10 @@ def plain_census_shard(q, k, h_cap, shard_index=0, shards=1):
                 tally.exceptional[h_star] += 1
             for step in range(1, h_cap - h_star + 1):
                 deficit = m_of[h_star + step] - sizes[h_star + step - 1]
-                if deficit < tetra[step]:
-                    tally.ladder_violations.append(
-                        DeficitLadderViolation(elems, h_star, step, deficit, tetra[step])
+                bound = census.figurate_gap(h_star, step, k)
+                if deficit < bound:
+                    tally.violations.append(
+                        DeficitLadderViolation(elems, h_star, step, deficit, bound)
                     )
             comps = comp_of[first_deficit]
             seen = {}
@@ -177,11 +177,11 @@ def plain_census_shard(q, k, h_cap, shard_index=0, shards=1):
                 r = len(idxs)
                 max_reps = max(max_reps, r)
                 if r > rep_bound:
-                    tally.rep_violations.append(RepBoundViolation(elems, h_star, t, r))
+                    tally.violations.append(RepBoundViolation(elems, h_star, t, r))
                 for i in range(r):
                     for j in range(i + 1, r):
                         if supp[idxs[i]] & supp[idxs[j]]:
-                            tally.support_violations.append(
+                            tally.violations.append(
                                 SupportOverlapViolation(
                                     elems, h_star, t, comps[idxs[i]], comps[idxs[j]]
                                 )

@@ -134,16 +134,31 @@ class TestPatternSweepAgainstPlainSweep:
         assert plain_census(14, 4, 4, shards=3) == plain_census(14, 4, 4)
 
 
+class TestLadderBoundForEveryK:
+    """The deficit s steps past the first collision is at least M(s-1, k),
+    which is the tetrahedral number only at k = 4."""
+
+    def test_three_element_census_has_no_violations(self):
+        report = run_census(q=14, k=3, h_cap=5)
+        assert report.violation_count == 0
+        _assert_same_report(report, plain_census(14, 3, 5))
+
+    def test_three_element_cli_exits_0(self, capsys):
+        assert cli.main(["census", "--q", "14", "--k", "3", "--h-cap", "5"]) == cli.EXIT_OK
+        assert "0 violations" in capsys.readouterr().err
+
+
 class TestViolationExpansion:
     """Violations found on a pattern are reported per explicit subset."""
 
     def test_raised_ladder_bound(self, monkeypatch):
-        real = census.tetrahedral
-        monkeypatch.setattr(census, "tetrahedral", lambda n: real(n) + 1)
-        report = run_census(q=14, k=4, h_cap=4, shards=3)
-        assert report.ladder_violations
-        assert report.rep_violations == report.support_violations == ()
-        _assert_same_report(report, plain_census(14, 4, 4))
+        real = census.figurate_gap
+        monkeypatch.setattr(census, "figurate_gap", lambda h, step, k: real(h, step, k) + 1)
+        for k, q in ((3, 14), (4, 14), (5, 11)):
+            report = run_census(q=q, k=k, h_cap=4, shards=3)
+            assert report.ladder_violations
+            assert report.rep_violations == report.support_violations == ()
+            _assert_same_report(report, plain_census(q, k, 4))
 
     def test_rep_bound_of_one(self, monkeypatch):
         monkeypatch.setattr(census, "_rep_bound", lambda k: 1)

@@ -164,10 +164,36 @@ class TestVerify:
         payload = json.loads(result.stdout)
         assert payload["lemma"] == "paircount" and payload["passed"]
 
+    def test_pairs_budget_is_the_composition_count(self):
+        result = run_cli("verify", "pairs", "--h-max", "45")
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout)["passed"]
+        result = run_cli(
+            "verify", "pairs", "--h-max", "45", env={"SUMSET_MAX_COMPOSITIONS": "100"}
+        )
+        assert result.returncode == 3
+        assert "budget exceeded" in result.stderr
+
     def test_ortho_with_sample(self):
         result = run_cli("verify", "ortho", "--q", "12", "--h", "2", "--sample", "3")
         assert result.returncode == 0
         assert json.loads(result.stdout)["instances"] == 3
+
+    def test_ortho_sample_below_one_is_a_usage_error(self):
+        result = run_cli("verify", "ortho", "--q", "30", "--h", "2", "--sample", "0")
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "sample must be >= 1" in result.stderr
+
+    @pytest.mark.parametrize(
+        "args",
+        [("ortho", "--q", "8", "--h", "6"), ("repno", "--q", "12", "--k", "5", "--h", "3")],
+    )
+    def test_empty_sweep_is_a_usage_error(self, args):
+        result = run_cli("verify", *args)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "nothing to check" in result.stderr
 
     def test_repno(self):
         result = run_cli("verify", "repno", "--q", "12", "--h", "2")

@@ -141,8 +141,8 @@ def test_zero_dot_and_disjoint_support_agree(h, k, data):
 
 def test_disjoint_support_pairs_budget_guard():
     with pytest.raises(BudgetExceededError) as excinfo:
-        disjoint_support_pairs(12, 4, pair_budget=10)
-    assert excinfo.value.required == 455 * 454 // 2
+        disjoint_support_pairs(12, 4, max_compositions=10)
+    assert excinfo.value.required == 455
 
 
 def test_disjoint_support_pairs_rejects_degenerate():

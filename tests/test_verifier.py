@@ -65,6 +65,15 @@ class TestOrtho:
         assert verdict.passed
         assert verdict.params["sample"] == 5
 
+    def test_sample_below_one_rejected(self):
+        for sample in (0, -3):
+            with pytest.raises(ValueError, match="sample must be >= 1"):
+                verify_ortho(30, 2, sample=sample)
+
+    def test_empty_sweep_rejected(self):
+        with pytest.raises(ValueError, match="order exactly 6: nothing to check"):
+            verify_ortho(8, 6)
+
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             verify_ortho(40, 2, max_subsets=100)
@@ -104,6 +113,10 @@ class TestRepNo:
             max_reps_seen = max(max_reps_seen, max(counter.values()))
         assert verdict.instances == examined
         assert 2 <= max_reps_seen <= 3
+
+    def test_empty_sweep_rejected(self):
+        with pytest.raises(ValueError, match="order exactly 3: nothing to check"):
+            verify_repno(12, 5, 3)
 
     def test_budget_and_degenerate(self):
         with pytest.raises(BudgetExceededError):
@@ -256,9 +269,11 @@ class TestPatternSweepMatchesPlainSweep:
         assert verdict.to_json() == plain_verdict.to_json()
         assert dot_range == plain_range
 
-    @pytest.mark.parametrize("q,k,h", [(16, 5, 2), (12, 5, 3)])
+    @pytest.mark.parametrize("q,k,h", [(16, 5, 2), (24, 5, 3)])
     def test_five_element_repno_bytes(self, q, k, h):
-        assert verify_repno(q, k, h).to_json() == plain_repno(q, k, h).to_json()
+        verdict = verify_repno(q, k, h)
+        assert verdict.instances > 0
+        assert verdict.to_json() == plain_repno(q, k, h).to_json()
 
     @pytest.mark.parametrize("q,h,sample", [(30, 2, 5), (20, 3, 40)])
     def test_sampled_ortho_bytes(self, q, h, sample):
