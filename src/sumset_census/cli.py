@@ -18,7 +18,14 @@ from pathlib import Path
 
 from .census import _histograms_csv, count_pair_solutions, run_census
 from .engine import SetVector, profile_naive
-from .family import FamilyParams, family_size, generate_family, member_record, verify_member
+from .family import (
+    FamilyParams,
+    family_size,
+    generate_family,
+    member_record,
+    member_steps,
+    verify_member,
+)
 from .guards import BudgetExceededError, InvariantError, LemmaViolationError
 from .plotting import histogram_svg
 from .verifier import verify_ddp, verify_ortho, verify_paircount, verify_repno
@@ -124,6 +131,7 @@ def cmd_family(args: argparse.Namespace) -> int:
     params = FamilyParams(h=args.h, q=args.q)
     total = family_size(params)
     steps = args.steps
+    member_steps(params.h, steps)  # refused even when no member gets verified
     header = {
         "h": params.h,
         "q": params.q,

@@ -8,15 +8,20 @@ with equality exactly when A is a B_h-set (every sum has one representation).
 Two independent size computations live here.  profile_naive enumerates every
 composition and counts representations exactly; it is the oracle and the only
 source of collision structure.  sumset_sizes/profile_fast fold Minkowski sums
-through a dense bitmap held in a shifted big integer; it returns sizes only
-and must agree with the oracle on every size.  Keeping both routes alive is
-the point: each checks the other.
+and return sizes only, which must agree with the oracle on every size.
+Keeping both routes alive is the point: each checks the other.
 
-This module is the only home of the bitmap kernel (_fold_sizes), the
-composition collision scan (_collision_scan) and the first-deficit rule
-(first_deficit).  The census calls the unvalidated kernel and scan directly
-on sets it generates; every other caller goes through the validating public
-functions.
+The fold has two representations, chosen per call by a cost read off the
+input.  A narrow set folds through a dense bitmap held in a shifted big
+integer (_fold_sizes), whose work grows with the width h*span.  A wide set
+folds a Python set of its sums (_fold_sums), whose work grows with the
+sums it touches, k * sum_{i<h} M(i, k), whatever the span.
+
+This module is the only home of the two fold kernels, the composition
+collision scan (_collision_scan) and the first-deficit rule (first_deficit).
+The census calls the unvalidated bitmap kernel and scan directly on the gap
+patterns it generates, whose spans stay below q; every other caller goes
+through the validating public functions, which pick the representation.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence, Union
 
-from .compositions import Composition, compositions_table, multiset_count, tetrahedral
+from .compositions import Composition, compositions_table, figurate_gap, multiset_count
 from .guards import (
     DEFAULT_MAX_BITMAP_BITS,
     MAX_COMPOSITIONS_ENV,
@@ -36,6 +41,16 @@ from .guards import (
 )
 
 DEFAULT_H_CAP = 8
+
+# Bitmap bits that cost as much as one sum of a set fold.  sumset_sizes folds
+# sets of sums once the width h*span exceeds this many times
+# k * sum_{i<h} M(i, k), a bound on the sums h set folds touch.  Crossovers
+# measured on random sets (CPython 3.11, x86-64), as width over that sum
+# for (k, h): (2,6) 174, (3,4) 179, (3,8) 112, (4,3) 219, (4,5) 144,
+# (4,8) 96, (4,12) 65, (5,4) 146, (5,6) 108; 128 is near their geometric
+# mean, and a set misjudged near a crossover costs at most about twice the
+# cheaper fold.
+SET_FOLD_COST = 128
 
 
 class Collision(NamedTuple):
@@ -177,22 +192,53 @@ def _collision_scan(elems: tuple[int, ...], h: int) -> tuple[int, dict[int, list
 
 
 def sumset_sizes(a: SetLike, h: int, max_bits: int = DEFAULT_MAX_BITMAP_BITS) -> list[int]:
-    """Sizes |iA| for i = 1..h via iterated Minkowski folds of a dense bitmap.
+    """Sizes |iA| for i = 1..h via iterated Minkowski folds.
 
-    The i-fold sumset lives in [i*min(A) .. i*max(A)]; it is held as a big-int
-    bitmask offset by i*min(A), so one fold is k shifts and k ors and a size
-    query is a popcount.  No representation counts are available here.
+    The h-fold sumset lives in a window of width h*(max(A) - min(A)) + 1,
+    which max_bits caps whichever representation folds it.  A window of at
+    most SET_FOLD_COST * k * sum_{i<h} M(i, k) bits folds as a dense bitmap
+    (_fold_sizes); a wider one folds as a set of sums (_fold_sums).  Both
+    give the same sizes.  No representation counts are available here.
     """
     elems = elements_of(a)
     if h < 1:
         raise ValueError(f"fold count must be >= 1, got h={h}")
     span = h * (elems[-1] - elems[0]) + 1
     require_budget("sumset bitmap", span, max_bits)
+    k = len(elems)
+    # the work is at least SET_FOLD_COST * k, so most narrow sets skip the lookup
+    if span > SET_FOLD_COST * k and span > _set_fold_work(k, h):
+        return _fold_sums(elems, h)
     return _fold_sizes(elems, h)
 
 
+@lru_cache(maxsize=None)
+def _set_fold_work(k: int, h: int) -> int:
+    """Bitmap width at which h set folds of a k-set cost as much as bitmap ones."""
+    return SET_FOLD_COST * k * sum(multiset_count(i, k) for i in range(h))
+
+
+def _fold_sums(elems: tuple[int, ...], h: int) -> list[int]:
+    """The set-of-sums kernel behind sumset_sizes for wide sets, unchecked.
+
+    The i-fold sumset is held as a Python set of its sums, so a fold costs k
+    additions per sum, however far apart the elements are.
+    """
+    cur = set(elems)
+    sizes = [len(cur)]
+    for _ in range(h - 1):
+        cur = {s + e for s in cur for e in elems}
+        sizes.append(len(cur))
+    return sizes
+
+
 def _fold_sizes(elems: tuple[int, ...], h: int) -> list[int]:
-    """The bitmap kernel behind sumset_sizes, on a sorted tuple, unchecked."""
+    """The bitmap kernel behind sumset_sizes, on a sorted tuple, unchecked.
+
+    The i-fold sumset lives in [i*min(A) .. i*max(A)]; it is held as a big-int
+    bitmask offset by i*min(A), so one fold is k shifts and k ors and a size
+    query is a popcount.
+    """
     shifts = [e - elems[0] for e in elems]
     cur = 0
     for s in shifts:
@@ -234,7 +280,7 @@ def first_deficit(elems: tuple[int, ...], sizes: Sequence[int]) -> int:
 
 
 def profile_fast(a: SetLike, h: int) -> tuple[int, int]:
-    """(size, deficit) of hA from the bitmap kernel, sizes only."""
+    """(size, deficit) of hA from sumset_sizes' folds, sizes only."""
     elems = elements_of(a)
     size = sumset_sizes(elems, h)[-1]
     return size, multiset_count(h, len(elems)) - size
@@ -286,18 +332,18 @@ class GapBoundRecord(NamedTuple):
 def gap_bound_check(a: SetLike, h_star: int, max_step: int) -> list[GapBoundRecord]:
     """Check the deficit ladder below a first collision at order h_star + 1.
 
-    For a 4-element set whose B_h order is exactly h_star, the sumset at order
-    h_star + step must lose at least tetrahedral(step) elements, because the
-    first collision fans out through every extension by step - 1 more
-    summands.  Records report the exact deficit, the bound, and whether they
-    agree (tight means the first collision explains every lost element).
+    For a k-element set whose B_h order is exactly h_star, the sumset at
+    order h_star + step must lose at least figurate_gap(h_star, step, k) =
+    M(step - 1, k) elements, because the first collision fans out through
+    every extension by step - 1 more summands.  Records report the exact
+    deficit, the bound, and whether they agree (tight means the first
+    collision explains every lost element).
 
     Raises ValueError when A's actual order is not h_star, and
     LemmaViolationError if any deficit falls short of its bound.
     """
     elems = elements_of(a)
-    if len(elems) != 4:
-        raise ValueError(f"deficit ladder is stated for 4-element sets, got k={len(elems)}")
+    k = len(elems)
     if h_star < 1 or max_step < 1:
         raise ValueError(f"need h_star >= 1 and max_step >= 1, got {h_star}, {max_step}")
     sizes = sumset_sizes(elems, h_star + max_step)
@@ -308,8 +354,8 @@ def gap_bound_check(a: SetLike, h_star: int, max_step: int) -> list[GapBoundReco
         raise ValueError(f"{elems} is still collision-free at fold {h_star + 1}")
     records = []
     for step in range(1, max_step + 1):
-        deficit = multiset_count(h_star + step, 4) - sizes[h_star + step - 1]
-        bound = tetrahedral(step)
+        deficit = multiset_count(h_star + step, k) - sizes[h_star + step - 1]
+        bound = figurate_gap(h_star, step, k)
         if deficit < bound:
             raise LemmaViolationError(
                 f"deficit {deficit} at fold {h_star + step} of {elems} is below "

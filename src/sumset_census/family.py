@@ -140,10 +140,26 @@ class MemberVerification:
         return not self.failures
 
 
+def member_steps(h: int, max_step: int) -> range:
+    """Steps 1..max_step of a member check at target order h.
+
+    The family's claims reach order 2h - 1 only, so max_step must lie in
+    1..h-1; anything else raises ValueError rather than checking fewer steps.
+    """
+    if max_step < 1:
+        raise ValueError(f"max_step must be >= 1, got {max_step}")
+    if max_step > h - 1:
+        raise ValueError(
+            f"max_step {max_step} exceeds h - 1 = {h - 1}: the family's collision "
+            f"structure is claimed only through order 2h - 1 = {2 * h - 1}"
+        )
+    return range(1, max_step + 1)
+
+
 def verify_member(a: SetLike, h: int, max_step: int = 1) -> MemberVerification:
     """Check a 4-element set against the family's collision-structure claims.
 
-    Clauses, for steps 1..min(max_step, h-1):
+    Clauses, for steps 1..max_step (at most h - 1, see member_steps):
       h_star: the B_h order is exactly h (full sizes through h, deficit at h+1)
       deficits: deficit at order h+step equals tetrahedral(step) exactly
       trivial_only: every colliding pair differs by +/-(h, -(h+1), 1, 0)
@@ -154,9 +170,7 @@ def verify_member(a: SetLike, h: int, max_step: int = 1) -> MemberVerification:
         raise ValueError(f"family members have 4 elements, got {elems}")
     if h < 2:
         raise ValueError(f"target order must be >= 2, got h={h}")
-    if max_step < 1:
-        raise ValueError(f"max_step must be >= 1, got {max_step}")
-    steps = range(1, min(max_step, h - 1) + 1)
+    steps = member_steps(h, max_step)
     top = h + steps[-1]
     sizes = sumset_sizes(elems, top)
 

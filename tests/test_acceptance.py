@@ -174,18 +174,25 @@ def test_criterion_08_triangular_gap_histogram(emit, q60_census):
 
 
 def test_criterion_09_oracle_equivalence(emit):
-    with criterion(emit, 9, "fast kernel equals enumeration on 1000 random sets, q<=200, folds<=6"):
+    desc = (
+        "fast kernel equals enumeration on 1000 random sets, q<=200, "
+        "and 200 wide ones, q<=10^6, folds<=6"
+    )
+    with criterion(emit, 9, desc):
         rng = random.Random(20260815)
-        for _ in range(1000):
-            q = rng.randint(10, 200)
-            k = rng.randint(2, 5)
-            elems = tuple(sorted(rng.sample(range(1, q + 1), k)))
-            h = rng.randint(1, 6)
-            size, deficit = profile_fast(elems, h)
-            naive = profile_naive(elems, h)
-            assert size == naive.size
-            assert deficit == naive.deficit
-            assert sumset_sizes(elems, h)[h - 1] == naive.size
+        # narrow draws fold as bitmaps, wide ones mostly as sets of sums
+        draws = [(1000, 10, 200), (200, 10**4, 10**6)]
+        for count, q_min, q_max in draws:
+            for _ in range(count):
+                q = rng.randint(q_min, q_max)
+                k = rng.randint(2, 5)
+                elems = tuple(sorted(rng.sample(range(1, q + 1), k)))
+                h = rng.randint(1, 6)
+                size, deficit = profile_fast(elems, h)
+                naive = profile_naive(elems, h)
+                assert size == naive.size
+                assert deficit == naive.deficit
+                assert sumset_sizes(elems, h)[h - 1] == naive.size
 
 
 def test_criterion_10_determinism(emit):

@@ -156,6 +156,15 @@ class TestFamily:
         assert result.stdout == ""
         assert len(out.read_text().splitlines()) == 4
 
+    @pytest.mark.parametrize("limit", ["2", "0"])
+    def test_steps_past_order_2h_minus_1_are_a_usage_error(self, limit):
+        result = run_cli(
+            "family", "--h", "2", "--q", "8000", "--limit", limit, "--steps", "5"
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "order 2h - 1 = 3" in result.stderr
+
 
 class TestVerify:
     def test_pairs_passes(self):

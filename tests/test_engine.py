@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from sumset_census import (
     Collision,
     SetVector,
     classify,
+    figurate_gap,
     gap_bound_check,
     multiset_count,
     profile_fast,
@@ -17,7 +20,7 @@ from sumset_census import engine
 from sumset_census.engine import first_deficit
 from sumset_census.guards import InvariantError, LemmaViolationError
 
-from oracles import folded_sizes, order_of, representation_counter
+from oracles import composition_count, folded_sizes, order_of, representation_counter
 
 
 @st.composite
@@ -26,6 +29,24 @@ def small_sets(draw, min_k=2, max_k=5, max_q=60):
     q = draw(st.integers(k, max_q))
     elems = draw(st.sets(st.integers(1, q), min_size=k, max_size=k))
     return tuple(sorted(elems))
+
+
+@st.composite
+def wide_sets(draw, max_span=10**6):
+    """k = 2..5 sets spread over up to max_span, placed anywhere: either
+    random elements, which rarely collide, or a small set dilated by a large
+    factor, which keeps the small set's collisions."""
+    lo = draw(st.integers(1, 10**6))
+    if draw(st.booleans()):
+        k = draw(st.integers(2, 5))
+        span = draw(st.integers(k, max_span))
+        interior = draw(st.sets(st.integers(1, span - 1), min_size=k - 2, max_size=k - 2))
+        offsets = {0, span} | interior
+    else:
+        small = draw(small_sets(max_q=30))
+        scale = draw(st.integers(1, max_span // (small[-1] - small[0])))
+        offsets = {scale * (e - small[0]) for e in small}
+    return tuple(sorted(lo + o for o in offsets))
 
 
 class TestSetVector:
@@ -149,6 +170,45 @@ class TestFastKernel:
         with pytest.raises(BudgetExceededError):
             sumset_sizes((1, 10 ** 9), 2, max_bits=1000)
 
+    @given(wide_sets(), st.integers(1, 6))
+    @settings(max_examples=80, deadline=None)
+    def test_wide_sizes_match_enumeration(self, elems, h):
+        sizes = sumset_sizes(elems, h)
+        assert sizes == [profile_naive(elems, i).size for i in range(1, h + 1)]
+
+    @pytest.mark.parametrize("k,h", [(2, 6), (3, 4), (3, 8), (4, 3), (4, 5), (4, 8), (5, 4)])
+    def test_representations_agree_at_the_crossover(self, monkeypatch, k, h):
+        # widths h*span + 1 at most at and just past the crossover, with random
+        # and with progression-like (colliding) interiors
+        width = engine._set_fold_work(k, h)
+        below = (width - 1) // h
+        rng = random.Random(k * 100 + h)
+        called = []
+
+        def spy(name):
+            real = getattr(engine, name)
+
+            def kernel(e, i):
+                called.append(name)
+                return real(e, i)
+
+            return kernel
+
+        for name in ("_fold_sizes", "_fold_sums"):
+            monkeypatch.setattr(engine, name, spy(name))
+        for span, kernel in ((below, "_fold_sizes"), (below + 1, "_fold_sums")):
+            step = span // (k - 1)
+            for offsets in (
+                {0, span} | set(rng.sample(range(1, span), k - 2)),
+                {0, span} | {step * j for j in range(1, k - 1)},
+            ):
+                elems = tuple(sorted(7 + o for o in offsets))
+                called.clear()
+                expected = [profile_naive(elems, i).size for i in range(1, h + 1)]
+                assert sumset_sizes(elems, h) == expected
+                assert called == [kernel]
+                assert engine._fold_sizes(elems, h) == engine._fold_sums(elems, h) == expected
+
 
 class TestClassify:
     def test_worked_example(self):
@@ -234,9 +294,36 @@ class TestGapBoundCheck:
         with pytest.raises(ValueError):
             gap_bound_check((1, 2, 8, 10), 1, 2)  # full at order 2
 
-    def test_requires_four_elements(self):
-        with pytest.raises(ValueError):
-            gap_bound_check((1, 2, 3), 1, 1)
+    def test_three_elements_read_the_k3_ladder(self):
+        # |iA| = 2i + 1 for the progression, so every deficit equals M(s-1, 3)
+        records = gap_bound_check((1, 2, 3), 1, 4)
+        assert [(r.step, r.deficit, r.bound, r.tight) for r in records] == [
+            (s, figurate_gap(1, s, 3), figurate_gap(1, s, 3), True) for s in range(1, 5)
+        ]
+
+    def test_singleton_is_rejected(self):
+        # one element never collides, so no h_star is its exact order
+        with pytest.raises(ValueError, match="still collision-free"):
+            gap_bound_check((5,), 1, 1)
+
+    @given(
+        st.sampled_from([3, 5]).flatmap(lambda k: small_sets(min_k=k, max_k=k, max_q=40)),
+        st.integers(1, 3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_any_k_against_order_oracle(self, elems, max_step):
+        k = len(elems)
+        h_star, capped = order_of(elems, 4)
+        if capped:
+            return
+        records = gap_bound_check(elems, h_star, max_step)
+        assert [r.step for r in records] == list(range(1, max_step + 1))
+        for r in records:
+            fold = h_star + r.step
+            assert r.bound == figurate_gap(h_star, r.step, k)
+            size = len(representation_counter(elems, fold))
+            assert r.deficit == composition_count(fold, k) - size
+            assert r.deficit >= r.bound
 
     @given(small_sets(min_k=4, max_k=4, max_q=60), st.integers(1, 3))
     @settings(max_examples=60)

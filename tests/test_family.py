@@ -165,6 +165,12 @@ class TestVerifyMember:
         with pytest.raises(ValueError):
             verify_member((1, 6, 16, 7920), 2, max_step=0)
 
+    @pytest.mark.parametrize("h,max_step", [(2, 2), (2, 5), (3, 3)])
+    def test_steps_past_order_2h_minus_1_are_refused(self, h, max_step):
+        member = next(generate_family(FamilyParams(h, 27000), limit=1))
+        with pytest.raises(ValueError, match=f"order 2h - 1 = {2 * h - 1}"):
+            verify_member(member, h, max_step=max_step)
+
 
 class TestMemberRecord:
     def test_record_shape(self):
