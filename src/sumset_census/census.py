@@ -41,7 +41,7 @@ from .compositions import (
     multiset_count,
     tetrahedral,
 )
-from .engine import _collision_scan, _fold_sizes, first_deficit
+from .engine import _collision_scan, _fold_sizes, _plane_points, first_deficit
 from .guards import InvariantError, MAX_SUBSETS_ENV, require_budget, subset_budget
 
 DEFAULT_STRONG_RATIO = 10.0
@@ -525,18 +525,16 @@ def count_pair_solutions(
         MAX_SUBSETS_ENV,
     )
     # Equal degrees make both the equation and the B_h order invariant under
-    # translation, so each gap pattern is tested once, on its translate
-    # starting at 1, and stands for its q - span translates.  Reflection is
-    # not used: it would reverse x and y.
+    # translation, so the solutions are the translates of the gap patterns
+    # (0, d) on the one plane r . d == 0, r = x[1:] - y[1:]; each pattern,
+    # tested on its translate starting at 1, stands for its q - d[-1]
+    # translates.  r is not zero: x != y and their degrees are equal.
     count = 0
-    for span in range(k - 1, q):
-        for interior in itertools.combinations(range(2, span + 1), k - 2):
-            elems = (1,) + interior + (span + 1,)
-            lhs = sum(c * e for c, e in zip(x, elems))
-            if lhs != sum(c * e for c, e in zip(y, elems)):
+    for d in _plane_points(tuple(a - b for a, b in zip(x[1:], y[1:])), q):
+        if restrict_bstar:
+            elems = (1,) + tuple(1 + e for e in d)
+            if first_deficit(elems, _fold_sizes(elems, degree)) != degree:
                 continue
-            if restrict_bstar and first_deficit(elems, _fold_sizes(elems, degree)) != degree:
-                continue
-            count += q - span
+        count += q - d[-1]
     return count
 

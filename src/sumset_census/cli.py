@@ -169,9 +169,11 @@ def _emit_verdicts(verdicts) -> int:
     bad = 0
     for verdict in verdicts:
         print(verdict.to_json())
+        work = "".join(f" {key}={value}" for key, value in verdict.work.items())
+        work = f"; work:{work}" if work else ""
         print(
             f"# lemma {verdict.lemma}: {verdict.instances} instances, "
-            f"{len(verdict.violations)} violations, {verdict.elapsed_s:.2f}s",
+            f"{len(verdict.violations)} violations, {verdict.elapsed_s:.2f}s{work}",
             file=sys.stderr,
         )
         if not verdict.passed:

@@ -22,13 +22,21 @@ collision scan (_collision_scan) and the first-deficit rule (first_deficit).
 The census calls the unvalidated bitmap kernel and scan directly on the gap
 patterns it generates, whose spans stay below q; every other caller goes
 through the validating public functions, which pick the representation.
+
+The relation-plane walk (_relation_planes, _plane_points) lists the gap
+patterns on which a given disjoint-support relation x . A == y . A holds;
+the lemma sweeps take their candidates from it and the pair count walks its
+one plane.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .compositions import Composition, compositions_table, figurate_gap, multiset_count
 from .guards import (
@@ -251,6 +259,82 @@ def _fold_sizes(elems: tuple[int, ...], h: int) -> list[int]:
         cur = nxt
         sizes.append(cur.bit_count())
     return sizes
+
+
+@lru_cache(maxsize=None)
+def _relation_planes(k: int, w: int) -> tuple[tuple[int, ...], ...]:
+    """The primitive relation planes of degree w for k-sets, ascending.
+
+    A pair of compositions x != y of w with disjoint supports is a relation
+    v = x - y, whose entries sum to 0 and whose positive part is w; it holds
+    on A = a_1 + (0, d) exactly when r . d = 0 for r = v[1:].  Each plane is
+    listed once, as the r with its first nonzero entry positive, and only
+    when r is primitive: a multiple t*r' is the plane of r', of degree w/t.
+    """
+    by_mask: dict[int, list[Composition]] = {}
+    for x in compositions_table(w, k):
+        by_mask.setdefault(sum(1 << i for i, v in enumerate(x) if v), []).append(x)
+    planes = []
+    for s, xs in by_mask.items():
+        for t, ys in by_mask.items():
+            if s >= t or s & t:
+                continue
+            for x in xs:
+                for y in ys:
+                    r = tuple(a - b for a, b in zip(x[1:], y[1:]))
+                    if math.gcd(*r) != 1:
+                        continue
+                    if next(c for c in r if c) < 0:
+                        r = tuple(-c for c in r)
+                    planes.append(r)
+    return tuple(sorted(planes))
+
+
+def _plane_points(r: Sequence[int], q: int) -> Iterator[tuple[int, ...]]:
+    """Gap vectors 0 < d_1 < ... < d_{k-1} < q with r . d == 0, ascending.
+
+    With j the last coordinate whose coefficient is nonzero, d_j is solved
+    for: the coordinates before d_{j-1} are enumerated, d_{j-1} steps along
+    the residue class that makes d_j integral, within the interval where
+    d_{j-1} < d_j and the coordinates after d_j, which are free, still fit
+    below q.  So the walk costs one step per point plus one per prefix.  r
+    must not be all zero.
+    """
+    if min(r) >= 0 or max(r) <= 0:
+        return  # a nonzero r of one sign has r . d != 0 for every d > 0
+    j = max(i for i, c in enumerate(r) if c)
+    sign = 1 if r[j] > 0 else -1
+    r_j, r_s = sign * r[j], sign * r[j - 1]
+    prefix_r = [sign * c for c in r[: j - 1]]
+    tail = len(r) - 1 - j
+    top = q - 1 - tail  # largest d_j leaving room for the free tail
+    g = math.gcd(r_s, r_j)
+    step = r_j // g
+    inverse = pow(r_s // g, -1, step)
+    for prefix in itertools.combinations(range(1, top - 1), j - 1):
+        c = sum(map(operator.mul, prefix_r, prefix))
+        if c % g:
+            continue
+        # d_j = -(c + r_s * d) / r_j with d = d_{j-1}: d_j <= top and d_j > d
+        lo, hi = _narrow(r_s, -(c + r_j * top), prefix[-1] + 1 if prefix else 1, top - 1)
+        lo, hi = _narrow(-(r_s + r_j), c + r_j, lo, hi)
+        residue = -c // g * inverse % step
+        for d in range(lo + (residue - lo) % step, hi + 1, step):
+            point = prefix + (d, -(c + r_s * d) // r_j)
+            if tail:
+                for rest in itertools.combinations(range(point[-1] + 1, q), tail):
+                    yield point + rest
+            else:
+                yield point
+
+
+def _narrow(a: int, e: int, lo: int, hi: int) -> tuple[int, int]:
+    """The interval [lo, hi] cut down to the integers d with a * d >= e."""
+    if a > 0:
+        return max(lo, -(-e // a)), hi
+    if a < 0:
+        return lo, min(hi, e // a)
+    return (lo, hi) if e <= 0 else (lo, lo - 1)
 
 
 @lru_cache(maxsize=None)

@@ -11,8 +11,26 @@ composition alone, so each sweep does its expensive step once per
 translation class (gap pattern), on the translate starting at 1, and
 counts every translate of it; ortho and repno re-check a translate on its
 own elements only when its pattern violated, so violations name explicit
-subsets.  Instances and violations come out in subset enumeration order,
-exactly as a plain per-subset sweep gives them.
+subsets, and when no pattern violated they only count the translates.
+Instances and violations come out in subset enumeration order, exactly as a
+plain per-subset sweep gives them.
+
+ortho and repno classify only the candidate patterns that can have B_h order
+exactly h: those on a relation plane of degree h + 1 (engine's
+_relation_planes and _plane_points).  Nothing qualifying is lost.  A set
+whose first deficit is at fold h + 1 has a collision x . A == y . A there;
+cancelling the common part of x and y leaves a relation of degree at most
+h + 1, and of degree exactly h + 1, since a lower one would be an earlier
+collision.  That relation is primitive: a multiple t*r' with t > 1 has t
+times the degree of r', so r' would be an earlier collision too.  So the
+pattern lies on one of the primitive planes walked.  The walk can add
+candidates but cannot drop a qualifying one, and every candidate is still
+classified through sumset_sizes and first_deficit and profiled through
+profile_naive: the walk never decides a verdict.  Where planes are dense,
+as at k = 5 at desk scale, the walk costs more than it saves, so the source
+is chosen by a cost read off (q, k, h) (PLANE_WALK_COST); the other source
+is every pattern.  ddp gathers each span's dot products by progression
+masks (_dot_products).
 
 Verified statements, at desk scale:
   ortho      colliding vector pairs at the first colliding order have
@@ -31,13 +49,31 @@ import itertools
 import json
 import math
 import time
-from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, NamedTuple
 
 from .compositions import Composition, compositions_table, disjoint_support_pairs
 from .census import RepBoundViolation, SupportOverlapViolation, _rep_bound
-from .engine import SumsetProfile, first_deficit, profile_naive, sumset_sizes
+from .engine import (
+    SumsetProfile,
+    _plane_points,
+    _relation_planes,
+    first_deficit,
+    profile_naive,
+    sumset_sizes,
+)
 from .guards import InvariantError, MAX_SUBSETS_ENV, require_budget, subset_budget
+
+# Estimated share of patterns on a relation plane, planes(k, h+1) * (k-1) /
+# (q-k+1), up to which the ortho and repno sweeps classify only the walk's
+# candidates rather than every pattern.  Crossovers measured on repno sweeps
+# (CPython 3.11, x86-64), as that estimate for (k, q): (4,12) 10, (4,16) 12,
+# (4,20) 17, (4,24) 20, (4,30) 35; the walk still won at (4,40) at 19.5 and
+# at k = 3 everywhere measured (up to 10), and lost at (5,24) at 32 and at
+# (5,28) at 27.  20 sits between the k = 4 geometric mean, 17, and those
+# k = 5 losses; a sweep misjudged near a crossover costs at most about a
+# quarter more than the cheaper source.
+PLANE_WALK_COST = 20
 
 
 @dataclass(frozen=True)
@@ -49,14 +85,15 @@ class LemmaVerdict:
     instances: int
     violations: tuple
     elapsed_s: float
+    work: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
         return not self.violations
 
     def to_json(self) -> str:
-        """One deterministic JSON line; elapsed time is deliberately left out
-        so identical parameters give identical bytes."""
+        """One deterministic JSON line; elapsed time and work counts are
+        deliberately left out so identical parameters give identical bytes."""
         payload = {
             "lemma": self.lemma,
             "params": dict(sorted(self.params.items())),
@@ -119,42 +156,84 @@ class DotProductRange:
     achievable: frozenset[int]
 
 
-def _violations_by_set(
-    q: int, k: int, h: int, check: Callable[[tuple[int, ...], SumsetProfile], list]
-) -> Iterator[list]:
-    """check(A, profile_naive(A, h + 1)) for every k-subset A of [1..q] whose
-    B_h order is exactly h, in subset enumeration order.  Raises ValueError
-    when there is no such subset, so an empty sweep cannot pass.
+def _candidate_patterns(q: int, k: int, h: int) -> tuple[str, Iterable[tuple[int, ...]]]:
+    """(source, patterns): the gap patterns, as translates starting at 1 in
+    subset enumeration order, that _violations_by_set classifies.
 
-    The subsets starting at 1 are the gap patterns; each is classified and
-    checked once, on itself.  The subsets starting at c + 1 are the
-    translates by c of the patterns with largest element at most q - c, met
-    in the same order, so a later pass walks the qualifying patterns again
-    and re-checks a translate on its own elements only when its pattern
+    Every pattern of B_h order exactly h lies on a relation plane of degree
+    h + 1 (see the module docstring), so where the planes are few the walk
+    over them is the source; otherwise it is every pattern.
+    """
+    planes = _relation_planes(k, h + 1)
+    if len(planes) * (k - 1) > PLANE_WALK_COST * (q - k + 1):
+        return "patterns", (
+            (1,) + rest for rest in itertools.combinations(range(2, q + 1), k - 1)
+        )
+    points: set[tuple[int, ...]] = set()
+    for r in planes:
+        points.update(_plane_points(r, q))
+    return "planes", [(1,) + tuple(1 + d for d in point) for point in sorted(points)]
+
+
+def _violations_by_set(
+    q: int,
+    k: int,
+    h: int,
+    check: Callable[[tuple[int, ...], SumsetProfile], list],
+    sample: int | None = None,
+) -> tuple[int, list, dict]:
+    """(instances, violations, work) of check(A, profile_naive(A, h + 1)) over
+    the k-subsets A of [1..q] whose B_h order is exactly h, in subset
+    enumeration order, stopping after sample instances when sample is given.
+    Raises ValueError when there is no such subset, so an empty sweep cannot
+    pass.
+
+    The subsets starting at 1 are the gap patterns; each candidate is
+    classified and checked once, on itself.  The subsets starting at c + 1
+    are the translates by c of the patterns with largest element at most
+    q - c, met in the same order.  When no pattern violated they are only
+    counted; otherwise a later pass walks the qualifying patterns again and
+    re-checks a translate on its own elements only when its pattern
     violated.
     """
+    limit = math.inf if sample is None else sample
+    source, candidates = _candidate_patterns(q, k, h)
+    work = {"patterns_classified": 0, "profiles": 0, "source": source}
+    instances = 0
+    violations: list = []
     qualifying: list[tuple[int, ...]] = []
     violated: set[tuple[int, ...]] = set()
-    for rest in itertools.combinations(range(2, q + 1), k - 1):
-        pattern = (1,) + rest
-        if first_deficit(pattern, sumset_sizes(pattern, h + 1)) == h + 1:
-            found = check(pattern, profile_naive(pattern, h + 1))
-            qualifying.append(pattern)
-            if found:
-                violated.add(pattern)
-            yield found
+    for pattern in candidates:
+        work["patterns_classified"] += 1
+        if first_deficit(pattern, sumset_sizes(pattern, h + 1)) != h + 1:
+            continue
+        found = check(pattern, profile_naive(pattern, h + 1))
+        work["profiles"] += 1
+        instances += 1
+        qualifying.append(pattern)
+        violations.extend(found)
+        if found:
+            violated.add(pattern)
+        if instances >= limit:
+            return instances, violations, work
     if not qualifying:
         raise ValueError(
             f"no {k}-subset of [1..{q}] has B_h order exactly {h}: nothing to check"
         )
+    if not violated:
+        translates = sum(q - p[-1] for p in qualifying)
+        return min(instances + translates, limit), violations, work
     for c in range(1, q - k + 1):
         qualifying = [p for p in qualifying if p[-1] + c <= q]
         for pattern in qualifying:
             if pattern in violated:
                 elems = tuple(e + c for e in pattern)
-                yield check(elems, profile_naive(elems, h + 1))
-            else:
-                yield []
+                violations.extend(check(elems, profile_naive(elems, h + 1)))
+                work["profiles"] += 1
+            instances += 1
+            if instances >= limit:
+                return instances, violations, work
+    return instances, violations, work
 
 
 def _support_overlaps(elems: tuple[int, ...], profile: SumsetProfile) -> list:
@@ -204,19 +283,14 @@ def verify_ortho(
         MAX_SUBSETS_ENV,
     )
     started = time.perf_counter()
-    examined = 0
-    violations: list[SupportOverlapViolation] = []
-    for found in _violations_by_set(q, 4, h, _support_overlaps):
-        examined += 1
-        violations.extend(found)
-        if sample is not None and examined >= sample:
-            break
+    examined, violations, work = _violations_by_set(q, 4, h, _support_overlaps, sample)
     return LemmaVerdict(
         lemma="ortho",
         params={"q": q, "h": h, "sample": 0 if sample is None else sample},
         instances=examined,
         violations=tuple(violations),
         elapsed_s=time.perf_counter() - started,
+        work=work,
     )
 
 
@@ -240,17 +314,14 @@ def verify_repno(
         MAX_SUBSETS_ENV,
     )
     started = time.perf_counter()
-    examined = 0
-    violations: list[NamedTuple] = []
-    for found in _violations_by_set(q, k, h, _rep_excesses):
-        examined += 1
-        violations.extend(found)
+    examined, violations, work = _violations_by_set(q, k, h, _rep_excesses)
     return LemmaVerdict(
         lemma="repno",
         params={"q": q, "k": k, "h": h, "bound": _rep_bound(k)},
         instances=examined,
         violations=tuple(violations),
         elapsed_s=time.perf_counter() - started,
+        work=work,
     )
 
 
@@ -373,16 +444,26 @@ def _dot_products(q: int, h: int) -> frozenset[int]:
     of [1..q].
 
     A = c + (0, d1, d2, span) gives x . A = (h+1)c + x . (0, d1, d2, span),
-    so the dot products of each pattern are enumerated once, gathered in one
-    bitmask per span, and shifted by (h+1)c for c = 1..q-span.
+    so the dot products of each pattern are gathered once, in one bitmask
+    per span, and shifted by (h+1)c for c = 1..q-span.  For one span, x and
+    d1, the values over d2 = d1+1..span-1 are the progression x2*d2: one
+    cached mask per (x2, run length), shifted by x1*d1 + x2*(d1+1) +
+    x3*span.  A zero step gives a single bit.
     """
     comps = compositions_table(h + 1, 4)
+    runs: dict[tuple[int, int], int] = {}
     mask = 0
     for span in range(3, q):
         dots = 0
-        for d1, d2 in itertools.combinations(range(1, span), 2):
-            for x in comps:
-                dots |= 1 << (x[1] * d1 + x[2] * d2 + x[3] * span)
+        for _, x1, x2, x3 in comps:
+            for d1 in range(1, span - 1):
+                length = span - 1 - d1
+                run = runs.get((x2, length))
+                if run is None:
+                    run = runs[(x2, length)] = (
+                        sum(1 << (x2 * m) for m in range(length)) if x2 else 1
+                    )
+                dots |= run << (x1 * d1 + x2 * (d1 + 1) + x3 * span)
         for c in range(1, q - span + 1):
             mask |= dots << ((h + 1) * c)
     return frozenset(t for t in range(mask.bit_length()) if mask >> t & 1)

@@ -10,7 +10,8 @@ numbers.
 The remaining helpers instead keep the package's earlier plain algorithms
 alive as references for its shortcuts: the per-subset census sweep and the
 per-subset ortho, repno and ddp sweeps (the package sweeps gap patterns),
-and the pairwise disjoint-support scan (the package counts by support mask).
+the pairwise disjoint-support scan (the package counts by support mask), and
+the gap-pattern pair count (the package walks one relation plane).
 """
 
 from collections import Counter
@@ -72,6 +73,27 @@ def pair_solution_count_4(x, y, q) -> int:
                     rhs = sum(u * v for u, v in zip(y, vec))
                     if lhs == rhs:
                         count += 1
+    return count
+
+
+def plain_pair_count(x, y, q, restrict_bstar=False):
+    """count_pair_solutions by testing every gap pattern, the package's
+    sweep before it walked the one relation plane; the kernel and the
+    first-deficit rule are read through the census module at call time."""
+    k = len(x)
+    degree = sum(x)
+    count = 0
+    for span in range(k - 1, q):
+        for interior in itertools.combinations(range(2, span + 1), k - 2):
+            elems = (1,) + interior + (span + 1,)
+            lhs = sum(c * e for c, e in zip(x, elems))
+            if lhs != sum(c * e for c, e in zip(y, elems)):
+                continue
+            if restrict_bstar and census.first_deficit(
+                elems, census._fold_sizes(elems, degree)
+            ) != degree:
+                continue
+            count += q - span
     return count
 
 

@@ -20,6 +20,7 @@ from sumset_census import census, cli
 from sumset_census.compositions import compositions_table
 
 from oracles import (
+    plain_pair_count,
     composition_count,
     order_of,
     pair_solution_count_4,
@@ -350,6 +351,28 @@ class TestCountPairSolutions:
             and order_of(elems, degree) == (degree - 1, False)
         )
         assert count_pair_solutions(x, y, q, restrict_bstar=True) == restricted
+
+
+    @pytest.mark.parametrize("restrict_bstar", [False, True])
+    @pytest.mark.parametrize(
+        "x,y,q",
+        [
+            ((2, 0, 0, 1), (0, 2, 1, 0), 40),
+            ((1, 0, 0, 2), (0, 3, 0, 0), 35),
+            ((0, 2, 0, 1), (1, 0, 2, 0), 30),
+            ((0, 3, 0, 0), (1, 0, 1, 1), 30),
+            ((1, 1, 0, 0), (0, 0, 1, 1), 20),
+            ((2, 0, 0, 0, 1), (0, 1, 2, 0, 0), 22),
+            ((0, 1, 0, 2, 0), (1, 0, 1, 0, 1), 20),
+            ((1, 0, 0, 1, 0), (0, 0, 2, 0, 0), 18),
+            ((0, 3, 0, 0, 0), (1, 0, 0, 1, 1), 18),
+        ],
+    )
+    def test_plane_walk_matches_pattern_count(self, x, y, q, restrict_bstar):
+        if restrict_bstar and any(a and b for a, b in zip(x, y)):
+            return
+        count = count_pair_solutions(x, y, q, restrict_bstar=restrict_bstar)
+        assert count == plain_pair_count(x, y, q, restrict_bstar=restrict_bstar)
 
 
 class TestBStarCrossCheck:

@@ -7,6 +7,8 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from sumset_census import verify_ortho
+
 CLI = [sys.executable, "-m", "sumset_census"]
 
 
@@ -203,6 +205,16 @@ class TestVerify:
         assert result.returncode == 2
         assert result.stdout == ""
         assert "nothing to check" in result.stderr
+
+    def test_work_counts_go_to_stderr(self):
+        result = run_cli("verify", "ortho", "--q", "20", "--h", "2")
+        assert result.returncode == 0
+        assert result.stdout == verify_ortho(20, 2).to_json() + "\n"
+        assert "work" not in result.stdout
+        assert (
+            "; work: patterns_classified=437 profiles=386 source=planes\n"
+            in result.stderr
+        )
 
     def test_repno(self):
         result = run_cli("verify", "repno", "--q", "12", "--h", "2")

@@ -1,3 +1,6 @@
+import functools
+import itertools
+import math
 import random
 
 import pytest
@@ -337,3 +340,63 @@ class TestGapBoundCheck:
             pytest.fail(f"figurate bound failed for {elems}")
         for record in records:
             assert record.deficit >= record.bound
+
+
+@functools.cache
+def _walk_candidates(q, k, h):
+    """Gap vectors the plane walk yields for order h at (q, k), as a set."""
+    return {
+        point
+        for r in engine._relation_planes(k, h + 1)
+        for point in engine._plane_points(r, q)
+    }
+
+
+class TestRelationPlanes:
+    @pytest.mark.parametrize("w,count", [(3, 40), (4, 60), (5, 120)])
+    def test_four_element_plane_counts(self, w, count):
+        planes = engine._relation_planes(4, w)
+        assert len(planes) == len(set(planes)) == count
+        for r in planes:
+            relation = (-sum(r),) + r
+            assert sum(v for v in relation if v > 0) == w
+            assert math.gcd(*r) == 1
+            assert next(c for c in r if c) > 0
+
+    @given(
+        st.lists(st.integers(-6, 6), min_size=1, max_size=4).filter(any),
+        st.integers(1, 16),
+    )
+    @settings(max_examples=200)
+    def test_points_are_the_plane_in_lexicographic_order(self, r, q):
+        expected = [
+            d
+            for d in itertools.combinations(range(1, q), len(r))
+            if sum(c * e for c, e in zip(r, d)) == 0
+        ]
+        assert list(engine._plane_points(tuple(r), q)) == expected
+
+    @given(
+        st.sampled_from([3, 4, 5]).flatmap(
+            lambda k: small_sets(min_k=k, max_k=k, max_q=6 * k)
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_every_set_of_exact_order_is_a_candidate(self, elems):
+        h_star, capped = order_of(elems, 5)
+        if capped or h_star > 4:
+            return
+        gaps = tuple(e - elems[0] for e in elems[1:])
+        assert gaps in _walk_candidates(6 * len(elems), len(elems), h_star)
+
+    @given(
+        st.sampled_from([3, 4, 5]), st.integers(1, 4), st.integers(6, 14), st.data()
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_every_candidate_collides_by_the_plane_degree(self, k, h, q, data):
+        candidates = sorted(_walk_candidates(q, k, h))
+        if not candidates:
+            return
+        gaps = data.draw(st.sampled_from(candidates))
+        elems = (1,) + tuple(1 + d for d in gaps)
+        assert len(representation_counter(elems, h + 1)) < composition_count(h + 1, k)

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import math
 
 import pytest
 
@@ -261,8 +262,12 @@ class TestPatternSweepMatchesPlainSweep:
 
     @pytest.mark.parametrize("q,h", DEFAULT_GRID)
     def test_default_grid_verdict_bytes(self, q, h, monkeypatch):
-        assert verify_ortho(q, h).to_json() == plain_ortho(q, h).to_json()
-        assert verify_repno(q, 4, h).to_json() == plain_repno(q, 4, h).to_json()
+        ortho, repno = verify_ortho(q, h), verify_repno(q, 4, h)
+        assert ortho.to_json() == plain_ortho(q, h).to_json()
+        assert repno.to_json() == plain_repno(q, 4, h).to_json()
+        # plane estimates 3.2 .. 13.3 walk; (20, 4) at 21.2 takes every pattern
+        source = "patterns" if (q, h) == (20, 4) else "planes"
+        assert ortho.work["source"] == repno.work["source"] == source
         verdict, dot_range = verify_ddp(q, h)
         monkeypatch.setattr(verifier, "_dot_products", plain_ddp_achievable)
         plain_verdict, plain_range = verify_ddp(q, h)
@@ -275,15 +280,55 @@ class TestPatternSweepMatchesPlainSweep:
         assert verdict.instances > 0
         assert verdict.to_json() == plain_repno(q, k, h).to_json()
 
-    @pytest.mark.parametrize("q,h,sample", [(30, 2, 5), (20, 3, 40)])
+    @pytest.mark.parametrize("q,h,sample", [(30, 2, 5), (20, 3, 40), (20, 3, 500)])
     def test_sampled_ortho_bytes(self, q, h, sample):
         verdict = verify_ortho(q, h, sample=sample)
         assert verdict.instances == sample
         assert verdict.to_json() == plain_ortho(q, h, sample=sample).to_json()
 
+    @pytest.mark.parametrize("cost,source", [(math.inf, "planes"), (-1, "patterns")])
+    def test_each_source_forced(self, cost, source, monkeypatch):
+        # an infinite cost forces the plane walk, a negative one every pattern
+        monkeypatch.setattr(verifier, "PLANE_WALK_COST", cost)
+        for q, h in [(16, 2), (24, 3)]:
+            verdict = verify_repno(q, 5, h)
+            assert verdict.work["source"] == source
+            assert verdict.to_json() == plain_repno(q, 5, h).to_json()
+        for q, h, sample in [(30, 2, 5), (20, 3, 40), (20, 3, 500)]:
+            verdict = verify_ortho(q, h, sample=sample)
+            assert verdict.work["source"] == source
+            assert verdict.to_json() == plain_ortho(q, h, sample=sample).to_json()
+
+    def test_walk_forced_on_at_a_pattern_pass_grid_point(self, monkeypatch):
+        monkeypatch.setattr(verifier, "PLANE_WALK_COST", math.inf)
+        assert verify_ortho(20, 4).to_json() == plain_ortho(20, 4).to_json()
+        assert verify_repno(20, 4, 4).to_json() == plain_repno(20, 4, 4).to_json()
+
     @pytest.mark.parametrize("q,h", [(7, 8), (20, 2), (30, 4)])
     def test_achievable_dot_products(self, q, h):
         assert verify_ddp(q, h)[1].achievable == plain_ddp_achievable(q, h)
+
+
+class TestCandidateSource:
+    """Which source the cost rule picks, and the work counts it reports; the
+    default grid's sources are checked with its verdict bytes."""
+
+    @pytest.mark.parametrize("q,h", [(12, 2), (16, 2), (20, 2), (24, 3)])
+    def test_five_element_points_take_every_pattern(self, q, h):
+        verdict = verify_repno(q, 5, h)
+        assert verdict.work["source"] == "patterns"
+        assert verdict.work["patterns_classified"] == math.comb(q - 1, 4)
+
+    def test_work_counts(self):
+        verdict = verify_ortho(20, 2)
+        assert verdict.work == {
+            "patterns_classified": 437,
+            "profiles": 386,
+            "source": "planes",
+        }
+        assert "work" not in json.loads(verdict.to_json())
+        # a sample inside the first pass stops classifying there
+        assert verify_ortho(30, 2, sample=5).work["profiles"] == 5
 
 
 def _assert_explicit_violations(verdict):
