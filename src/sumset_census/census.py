@@ -42,7 +42,7 @@ from .compositions import (
     tetrahedral,
 )
 from .engine import _collision_scan, _fold_sizes, _plane_points, first_deficit
-from .guards import InvariantError, MAX_SUBSETS_ENV, require_budget, subset_budget
+from .guards import InvariantError, require_subsets
 
 DEFAULT_STRONG_RATIO = 10.0
 
@@ -397,7 +397,6 @@ def run_census(
     h_cap: int = 6,
     shards: int = 1,
     workers: int = 1,
-    max_subsets: int | None = None,
 ) -> CensusReport:
     """Census every k-subset of [1..q] up to fold h_cap.
 
@@ -416,12 +415,7 @@ def run_census(
         raise ValueError(f"classification cap must be >= 1, got {h_cap}")
     if shards < 1 or workers < 1:
         raise ValueError(f"shards and workers must be >= 1, got {shards}, {workers}")
-    require_budget(
-        f"census of C({q},{k}) subsets",
-        math.comb(q, k),
-        subset_budget(max_subsets),
-        MAX_SUBSETS_ENV,
-    )
+    require_subsets(f"census of C({q},{k}) subsets", math.comb(q, k))
     shard_args = [(q, k, h_cap, s, shards) for s in range(shards)]
     if workers > 1 and shards > 1:
         with ProcessPoolExecutor(max_workers=min(workers, shards)) as pool:
@@ -490,7 +484,6 @@ def count_pair_solutions(
     y: Composition,
     q: int,
     restrict_bstar: bool = False,
-    max_subsets: int | None = None,
 ) -> int:
     """Number of k-subsets A of [1..q] (ascending slots) with x . A == y . A.
 
@@ -517,13 +510,7 @@ def count_pair_solutions(
     k = len(x)
     if q < k:
         raise ValueError(f"need q >= k, got q={q}, k={k}")
-    n_subsets = math.comb(q, k)
-    require_budget(
-        f"pair solution scan over C({q},{k}) subsets",
-        n_subsets,
-        subset_budget(max_subsets),
-        MAX_SUBSETS_ENV,
-    )
+    require_subsets(f"pair solution scan over C({q},{k}) subsets", math.comb(q, k))
     # Equal degrees make both the equation and the B_h order invariant under
     # translation, so the solutions are the translates of the gap patterns
     # (0, d) on the one plane r . d == 0, r = x[1:] - y[1:]; each pattern,

@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 a checked statement was violated, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -70,7 +71,6 @@ def cmd_census(args: argparse.Namespace) -> int:
         h_cap=args.h_cap,
         shards=args.shards,
         workers=args.workers,
-        max_subsets=args.max_subsets,
     )
     text = report.to_json()
     sys.stdout.write(text)
@@ -94,22 +94,10 @@ def cmd_gaps(args: argparse.Namespace) -> int:
         h_cap=args.h,
         shards=args.shards,
         workers=args.workers,
-        max_subsets=args.max_subsets,
     )
     gap = report.gaps[args.h]
-    payload = {
-        "q": args.q,
-        "k": 4,
-        "h": args.h,
-        "ladder": list(gap.ladder),
-        "counts": list(gap.counts),
-        "intermediate_max": list(gap.intermediate_max),
-        "gap_differences": list(gap.gap_differences),
-        "confirmed": list(gap.confirmed),
-        "strongly_confirmed": list(gap.strongly_confirmed),
-        "ratios": [None if r is None else round(r, 6) for r in gap.ratios],
-        "inconclusive": gap.inconclusive,
-    }
+    payload = {"q": args.q, "k": 4, **dataclasses.asdict(gap)}
+    payload["ratios"] = [None if r is None else round(r, 6) for r in gap.ratios]
     text = json.dumps(payload, indent=2) + "\n"
     sys.stdout.write(text)
     svg = histogram_svg(
@@ -238,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h-cap", type=int, default=6, dest="h_cap")
     p.add_argument("--shards", type=int, default=1)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--max-subsets", type=int, default=None, dest="max_subsets")
     p.add_argument("--out", default=None, help="directory for census.json + histograms.csv")
     p.set_defaults(func=cmd_census)
 
@@ -247,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=int, required=True)
     p.add_argument("--shards", type=int, default=1)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--max-subsets", type=int, default=None, dest="max_subsets")
     p.add_argument("--out", default="gaps_out", help="directory for gaps.{json,csv,svg}")
     p.set_defaults(func=cmd_gaps)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .guards import MAX_COMPOSITIONS_ENV, composition_budget, require_budget
+from .guards import require_compositions
 
 Composition = tuple[int, ...]
 
@@ -107,9 +107,7 @@ class PairCensus:
     nontrivial_pairs: int
 
 
-def disjoint_support_pairs(
-    h: int, k: int, max_compositions: int | None = None
-) -> PairCensus:
+def disjoint_support_pairs(h: int, k: int) -> PairCensus:
     """Census of pairs {x, y} of distinct compositions of h with x . y == 0.
 
     Vanishing dot product and disjoint support are the same predicate on
@@ -127,11 +125,8 @@ def disjoint_support_pairs(
         raise ValueError(f"fold count must be >= 1, got h={h}")
     if k < 2:
         raise ValueError(f"set size must be >= 2, got k={k}")
-    require_budget(
-        f"disjoint-support pair census for h={h}, k={k}",
-        multiset_count(h, k),
-        composition_budget(max_compositions),
-        MAX_COMPOSITIONS_ENV,
+    require_compositions(
+        f"disjoint-support pair census for h={h}, k={k}", multiset_count(h, k)
     )
     by_mask = Counter(
         sum(1 << i for i, v in enumerate(x) if v) for x in compositions_table(h, k)

@@ -41,11 +41,10 @@ from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 from .compositions import Composition, compositions_table, figurate_gap, multiset_count
 from .guards import (
     DEFAULT_MAX_BITMAP_BITS,
-    MAX_COMPOSITIONS_ENV,
     InvariantError,
     LemmaViolationError,
-    composition_budget,
     require_budget,
+    require_compositions,
 )
 
 DEFAULT_H_CAP = 8
@@ -142,7 +141,7 @@ class SumsetProfile:
     collisions: tuple[Collision, ...]
 
 
-def profile_naive(a: SetLike, h: int, max_compositions: int | None = None) -> SumsetProfile:
+def profile_naive(a: SetLike, h: int) -> SumsetProfile:
     """Profile hA by enumerating every composition of h; the exact oracle.
 
     Representation multiplicities r(n) and the full collision list come out
@@ -155,12 +154,7 @@ def profile_naive(a: SetLike, h: int, max_compositions: int | None = None) -> Su
         raise ValueError(f"fold count must be >= 1, got h={h}")
     k = len(elems)
     m = multiset_count(h, k)
-    require_budget(
-        f"composition enumeration for h={h}, k={k}",
-        m,
-        composition_budget(max_compositions),
-        MAX_COMPOSITIONS_ENV,
-    )
+    require_compositions(f"composition enumeration for h={h}, k={k}", m)
     size, groups = _collision_scan(elems, h)
     comps = compositions_table(h, k)
     collisions = tuple(
@@ -191,7 +185,7 @@ def _collision_scan(elems: tuple[int, ...], h: int) -> tuple[int, dict[int, list
                 seen[t] = idx
     else:
         for idx, x in enumerate(comps):
-            t = sum(c * e for c, e in zip(x, elems))
+            t = sum(map(operator.mul, x, elems))
             if t in seen:
                 groups.setdefault(t, [seen[t]]).append(idx)
             else:
@@ -199,20 +193,21 @@ def _collision_scan(elems: tuple[int, ...], h: int) -> tuple[int, dict[int, list
     return len(seen), groups
 
 
-def sumset_sizes(a: SetLike, h: int, max_bits: int = DEFAULT_MAX_BITMAP_BITS) -> list[int]:
+def sumset_sizes(a: SetLike, h: int) -> list[int]:
     """Sizes |iA| for i = 1..h via iterated Minkowski folds.
 
     The h-fold sumset lives in a window of width h*(max(A) - min(A)) + 1,
-    which max_bits caps whichever representation folds it.  A window of at
-    most SET_FOLD_COST * k * sum_{i<h} M(i, k) bits folds as a dense bitmap
-    (_fold_sizes); a wider one folds as a set of sums (_fold_sums).  Both
-    give the same sizes.  No representation counts are available here.
+    which the fixed DEFAULT_MAX_BITMAP_BITS caps whichever representation
+    folds it.  A window of at most SET_FOLD_COST * k * sum_{i<h} M(i, k) bits
+    folds as a dense bitmap (_fold_sizes); a wider one folds as a set of sums
+    (_fold_sums).  Both give the same sizes.  No representation counts are
+    available here.
     """
     elems = elements_of(a)
     if h < 1:
         raise ValueError(f"fold count must be >= 1, got h={h}")
     span = h * (elems[-1] - elems[0]) + 1
-    require_budget("sumset bitmap", span, max_bits)
+    require_budget("sumset bitmap", span, DEFAULT_MAX_BITMAP_BITS)
     k = len(elems)
     # the work is at least SET_FOLD_COST * k, so most narrow sets skip the lookup
     if span > SET_FOLD_COST * k and span > _set_fold_work(k, h):

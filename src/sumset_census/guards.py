@@ -2,9 +2,12 @@
 
 Every exhaustive sweep in this package is bounded up front: the number of
 subsets a census may visit and the number of compositions a profile may
-enumerate are checked against explicit budgets before any work starts.
-Budgets can be raised per call or through environment variables; exceeding
-one is always a loud failure that names the required budget, never a silent
+enumerate are checked against budgets before any work starts.  This module
+is the only place a limit is set.  Each sweep makes one call naming its work
+and its count, require_subsets or require_compositions, which reads the
+limit from SUMSET_MAX_SUBSETS or SUMSET_MAX_COMPOSITIONS at call time; the
+sumset bitmap cap DEFAULT_MAX_BITMAP_BITS is fixed.  Exceeding a budget is
+always a loud failure that names the required budget, never a silent
 truncation.
 """
 
@@ -30,7 +33,7 @@ class BudgetExceededError(RuntimeError):
         self.what = what
         self.required = required
         self.limit = limit
-        hint = f" (override via {env} or an explicit limit argument)" if env else ""
+        hint = f" (raise it via {env})" if env else ""
         super().__init__(
             f"{what} requires budget {required}, limit is {limit}{hint}"
         )
@@ -67,20 +70,19 @@ def _env_budget(env: str, default: int) -> int:
     return value
 
 
-def subset_budget(override: int | None = None) -> int:
-    """Current limit on subsets a single census sweep may enumerate."""
-    if override is not None:
-        return override
-    return _env_budget(MAX_SUBSETS_ENV, DEFAULT_MAX_SUBSETS)
-
-
-def composition_budget(override: int | None = None) -> int:
-    """Current limit on compositions a single profile may enumerate."""
-    if override is not None:
-        return override
-    return _env_budget(MAX_COMPOSITIONS_ENV, DEFAULT_MAX_COMPOSITIONS)
-
-
 def require_budget(what: str, required: int, limit: int, env: str | None = None) -> None:
+    """Refuse work over limit; env names the variable that set the limit."""
     if required > limit:
         raise BudgetExceededError(what, required, limit, env)
+
+
+def require_subsets(what: str, required: int) -> None:
+    """Refuse a sweep over more subsets than SUMSET_MAX_SUBSETS allows."""
+    limit = _env_budget(MAX_SUBSETS_ENV, DEFAULT_MAX_SUBSETS)
+    require_budget(what, required, limit, MAX_SUBSETS_ENV)
+
+
+def require_compositions(what: str, required: int) -> None:
+    """Refuse enumerating more compositions than SUMSET_MAX_COMPOSITIONS allows."""
+    limit = _env_budget(MAX_COMPOSITIONS_ENV, DEFAULT_MAX_COMPOSITIONS)
+    require_budget(what, required, limit, MAX_COMPOSITIONS_ENV)

@@ -62,7 +62,7 @@ from .engine import (
     profile_naive,
     sumset_sizes,
 )
-from .guards import InvariantError, MAX_SUBSETS_ENV, require_budget, subset_budget
+from .guards import InvariantError, require_subsets
 
 # Estimated share of patterns on a relation plane, planes(k, h+1) * (k-1) /
 # (q-k+1), up to which the ortho and repno sweeps classify only the walk's
@@ -259,12 +259,7 @@ def _rep_excesses(elems: tuple[int, ...], profile: SumsetProfile) -> list:
     return found
 
 
-def verify_ortho(
-    q: int,
-    h: int,
-    sample: int | None = None,
-    max_subsets: int | None = None,
-) -> LemmaVerdict:
+def verify_ortho(q: int, h: int, sample: int | None = None) -> LemmaVerdict:
     """Sweep 4-subsets of [1..q] with B_h order exactly h: every pair of
     vectors colliding at order h+1 must have disjoint supports.
 
@@ -277,11 +272,7 @@ def verify_ortho(
         raise ValueError(f"order must be >= 1, got h={h}")
     if sample is not None and sample < 1:
         raise ValueError(f"sample must be >= 1, got {sample}")
-    n_subsets = math.comb(q, 4)
-    require_budget(
-        f"ortho sweep over C({q},4) subsets", n_subsets, subset_budget(max_subsets),
-        MAX_SUBSETS_ENV,
-    )
+    require_subsets(f"ortho sweep over C({q},4) subsets", math.comb(q, 4))
     started = time.perf_counter()
     examined, violations, work = _violations_by_set(q, 4, h, _support_overlaps, sample)
     return LemmaVerdict(
@@ -294,9 +285,7 @@ def verify_ortho(
     )
 
 
-def verify_repno(
-    q: int, k: int, h: int, max_subsets: int | None = None
-) -> LemmaVerdict:
+def verify_repno(q: int, k: int, h: int) -> LemmaVerdict:
     """Sweep k-subsets of [1..q] with B_h order exactly h: at order h+1 no sum
     may have more than floor((k+1)/2) representations, and at least one sum
     must have two (the collision that capped the order)."""
@@ -306,13 +295,7 @@ def verify_repno(
         raise ValueError(f"need q >= k, got q={q}, k={k}")
     if h < 1:
         raise ValueError(f"order must be >= 1, got h={h}")
-    n_subsets = math.comb(q, k)
-    require_budget(
-        f"representation sweep over C({q},{k}) subsets",
-        n_subsets,
-        subset_budget(max_subsets),
-        MAX_SUBSETS_ENV,
-    )
+    require_subsets(f"representation sweep over C({q},{k}) subsets", math.comb(q, k))
     started = time.perf_counter()
     examined, violations, work = _violations_by_set(q, k, h, _rep_excesses)
     return LemmaVerdict(
@@ -378,9 +361,7 @@ def realize_total(s: int, h: int, q: int) -> RealizedTotal:
     return RealizedTotal(s, composition, elems)
 
 
-def verify_ddp(
-    q: int, h: int, max_subsets: int | None = None
-) -> tuple[LemmaVerdict, DotProductRange]:
+def verify_ddp(q: int, h: int) -> tuple[LemmaVerdict, DotProductRange]:
     """Check that every s in [5h .. hq] is realized as an (h+1)-fold dot
     product over a 4-subset of [1..q], by recipe and by exhaustive
     enumeration, and that the achievable range is [h+1 .. (h+1)q].
@@ -389,13 +370,7 @@ def verify_ddp(
         raise ValueError(f"need q >= 7, got {q}")
     if h < 1:
         raise ValueError(f"order must be >= 1, got h={h}")
-    n_subsets = math.comb(q, 4)
-    require_budget(
-        f"dot-product enumeration over C({q},4) subsets",
-        n_subsets,
-        subset_budget(max_subsets),
-        MAX_SUBSETS_ENV,
-    )
+    require_subsets(f"dot-product enumeration over C({q},4) subsets", math.comb(q, 4))
     started = time.perf_counter()
     lo, hi = 5 * h, h * q
     violations: list[DdpViolation] = []

@@ -220,10 +220,12 @@ class TestInvariantError:
 
 
 class TestBudget:
-    def test_subset_budget_parameter(self):
+    def test_subset_budget_required(self, monkeypatch):
+        monkeypatch.setenv("SUMSET_MAX_SUBSETS", "1000")
         with pytest.raises(BudgetExceededError) as excinfo:
-            run_census(q=30, k=4, h_cap=3, max_subsets=1000)
+            run_census(q=30, k=4, h_cap=3)
         assert excinfo.value.required == math.comb(30, 4)
+        assert excinfo.value.limit == 1000
 
     def test_subset_budget_environment(self, monkeypatch):
         monkeypatch.setenv("SUMSET_MAX_SUBSETS", "100")
@@ -327,9 +329,11 @@ class TestCountPairSolutions:
         with pytest.raises(ValueError):
             count_pair_solutions((2, 1, 0, 0), (2, 0, 1, 0), 10, restrict_bstar=True)
 
-    def test_budget(self):
-        with pytest.raises(BudgetExceededError):
-            count_pair_solutions((2, 0, 0, 1), (0, 2, 1, 0), 50, max_subsets=100)
+    def test_budget(self, monkeypatch):
+        monkeypatch.setenv("SUMSET_MAX_SUBSETS", "100")
+        with pytest.raises(BudgetExceededError) as excinfo:
+            count_pair_solutions((2, 0, 0, 1), (0, 2, 1, 0), 50)
+        assert excinfo.value.required == math.comb(50, 4)
 
     @pytest.mark.parametrize(
         "x,y",

@@ -67,11 +67,6 @@ class TestCensus:
         csv = (out / "histograms.csv").read_text()
         assert csv.splitlines()[0] == "h,size,count"
 
-    def test_budget_flag_exits_3(self):
-        result = run_cli("census", "--q", "30", "--max-subsets", "100")
-        assert result.returncode == 3
-        assert "budget exceeded" in result.stderr
-
     def test_budget_environment_exits_3(self):
         result = run_cli("census", "--q", "30", env={"SUMSET_MAX_SUBSETS": "100"})
         assert result.returncode == 3
@@ -84,12 +79,18 @@ class TestCensus:
         ("verify", "repno", "--q", "30", "--h", "2"),
         ("verify", "ddp", "--q", "30", "--h", "2"),
         ("pairs", "--x", "2,0,0,1", "--y", "0,2,1,0", "--q", "30"),
+        ("gaps", "--q", "30", "--h", "3", "--out", "OUT"),
+        ("verify", "all"),
     ],
 )
-def test_sweep_budget_environment_exits_3(args):
+def test_sweep_budget_environment_exits_3(args, tmp_path):
+    out = tmp_path / "out"
+    args = [str(out) if a == "OUT" else a for a in args]
     result = run_cli(*args, env={"SUMSET_MAX_SUBSETS": "100"})
     assert result.returncode == 3
     assert "budget exceeded" in result.stderr
+    # refused before any output
+    assert result.stdout == "" and not out.exists()
 
 
 class TestGaps:

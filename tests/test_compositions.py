@@ -139,9 +139,10 @@ def test_zero_dot_and_disjoint_support_agree(h, k, data):
     assert (dot(x, y) == 0) == support(x).isdisjoint(support(y))
 
 
-def test_disjoint_support_pairs_budget_guard():
+def test_disjoint_support_pairs_budget_guard(monkeypatch):
+    monkeypatch.setenv("SUMSET_MAX_COMPOSITIONS", "10")
     with pytest.raises(BudgetExceededError) as excinfo:
-        disjoint_support_pairs(12, 4, max_compositions=10)
+        disjoint_support_pairs(12, 4)
     assert excinfo.value.required == 455
 
 

@@ -21,7 +21,11 @@ from sumset_census import (
 )
 from sumset_census import engine
 from sumset_census.engine import first_deficit
-from sumset_census.guards import InvariantError, LemmaViolationError
+from sumset_census.guards import (
+    DEFAULT_MAX_BITMAP_BITS,
+    InvariantError,
+    LemmaViolationError,
+)
 
 from oracles import composition_count, folded_sizes, order_of, representation_counter
 
@@ -128,9 +132,11 @@ class TestProfileNaive:
         with pytest.raises(ValueError):
             profile_naive((), 2)
 
-    def test_composition_budget(self):
-        with pytest.raises(BudgetExceededError):
-            profile_naive((1, 2, 8, 10), 5, max_compositions=10)
+    def test_composition_budget(self, monkeypatch):
+        monkeypatch.setenv("SUMSET_MAX_COMPOSITIONS", "10")
+        with pytest.raises(BudgetExceededError) as excinfo:
+            profile_naive((1, 2, 8, 10), 5)
+        assert excinfo.value.required == multiset_count(5, 4)
 
     @given(small_sets(), st.integers(1, 4))
     @settings(max_examples=80)
@@ -170,8 +176,11 @@ class TestFastKernel:
             assert sizes[i - 1] == profile_naive(elems, i).size
 
     def test_memory_guard(self):
-        with pytest.raises(BudgetExceededError):
-            sumset_sizes((1, 10 ** 9), 2, max_bits=1000)
+        # a 2*10^9-bit window: over the fixed cap, whichever fold would run
+        with pytest.raises(BudgetExceededError) as excinfo:
+            sumset_sizes((1, 10 ** 9), 2)
+        assert excinfo.value.required == 2 * (10 ** 9 - 1) + 1
+        assert excinfo.value.limit == DEFAULT_MAX_BITMAP_BITS
 
     @given(wide_sets(), st.integers(1, 6))
     @settings(max_examples=80, deadline=None)

@@ -75,9 +75,11 @@ class TestOrtho:
         with pytest.raises(ValueError, match="order exactly 6: nothing to check"):
             verify_ortho(8, 6)
 
-    def test_budget(self):
-        with pytest.raises(BudgetExceededError):
-            verify_ortho(40, 2, max_subsets=100)
+    def test_budget(self, monkeypatch):
+        monkeypatch.setenv("SUMSET_MAX_SUBSETS", "100")
+        with pytest.raises(BudgetExceededError) as excinfo:
+            verify_ortho(40, 2)
+        assert excinfo.value.required == math.comb(40, 4)
 
     def test_rejects_degenerate(self):
         with pytest.raises(ValueError):
@@ -119,9 +121,11 @@ class TestRepNo:
         with pytest.raises(ValueError, match="order exactly 3: nothing to check"):
             verify_repno(12, 5, 3)
 
-    def test_budget_and_degenerate(self):
-        with pytest.raises(BudgetExceededError):
-            verify_repno(40, 4, 2, max_subsets=10)
+    def test_budget_and_degenerate(self, monkeypatch):
+        monkeypatch.setenv("SUMSET_MAX_SUBSETS", "10")
+        with pytest.raises(BudgetExceededError) as excinfo:
+            verify_repno(40, 4, 2)
+        assert excinfo.value.required == math.comb(40, 4)
         with pytest.raises(ValueError):
             verify_repno(10, 1, 2)
         with pytest.raises(ValueError):
@@ -203,9 +207,11 @@ class TestDdp:
         assert all(s in dot_range.achievable for s in range(40, 57))
         assert (dot_range.min_achievable, dot_range.max_achievable) == (9, 63)
 
-    def test_budget_and_degenerate(self):
-        with pytest.raises(BudgetExceededError):
-            verify_ddp(50, 2, max_subsets=1000)
+    def test_budget_and_degenerate(self, monkeypatch):
+        monkeypatch.setenv("SUMSET_MAX_SUBSETS", "1000")
+        with pytest.raises(BudgetExceededError) as excinfo:
+            verify_ddp(50, 2)
+        assert excinfo.value.required == math.comb(50, 4)
         with pytest.raises(ValueError):
             verify_ddp(6, 2)
         with pytest.raises(ValueError):
@@ -343,6 +349,19 @@ def _assert_explicit_violations(verdict):
         assert v.n in {c.n for c in collisions}
 
 
+def _assert_same_verdict(verdict, oracle):
+    # byte equality of the two JSON lines, checked from the cheapest figure
+    # up so a failure names its first difference; a plain == on two
+    # single-line JSONs with thousands of violations diffs for minutes
+    assert verdict.instances == oracle.instances
+    assert len(verdict.violations) == len(oracle.violations)
+    mine, theirs = (json.loads(v.to_json())["violations"] for v in (verdict, oracle))
+    first = next((i for i, (a, b) in enumerate(zip(mine, theirs)) if a != b), None)
+    assert first is None, f"violation {first}: {mine[first]} != {theirs[first]}"
+    same_bytes = verdict.to_json() == oracle.to_json()
+    assert same_bytes, "verdicts differ outside their violation lists"
+
+
 class TestFaultInjection:
     """Faults that make every qualifying set violate: the pattern sweep must
     then report exactly what the plain sweep reports."""
@@ -352,24 +371,22 @@ class TestFaultInjection:
         monkeypatch.setattr(verifier, "_rep_bound", lambda k: 1)
         verdict = verify_repno(q, k, h)
         assert verdict.params["bound"] == 1
-        assert verdict.to_json() == plain_repno(q, k, h).to_json()
+        _assert_same_verdict(verdict, plain_repno(q, k, h))
         _assert_explicit_violations(verdict)
 
     def test_overlapping_vector_pair(self, monkeypatch):
         real = verifier.profile_naive
 
-        def first_vector_twice(a, h, *args, **kwargs):
+        def first_vector_twice(a, h):
             # the first collision also lists its first vector again, which
             # overlaps itself
-            profile = real(a, h, *args, **kwargs)
+            profile = real(a, h)
             first, *rest = profile.collisions
             doubled = Collision(first.n, first.vectors + first.vectors[:1])
             return dataclasses.replace(profile, collisions=(doubled, *rest))
 
         monkeypatch.setattr(verifier, "profile_naive", first_vector_twice)
         verdict = verify_ortho(20, 2)
-        assert verdict.to_json() == plain_ortho(20, 2).to_json()
+        _assert_same_verdict(verdict, plain_ortho(20, 2))
         _assert_explicit_violations(verdict)
-        assert verify_ortho(20, 3, sample=40).to_json() == plain_ortho(
-            20, 3, sample=40
-        ).to_json()
+        _assert_same_verdict(verify_ortho(20, 3, sample=40), plain_ortho(20, 3, sample=40))
