@@ -15,7 +15,15 @@ subsets, and when no pattern violated they only count the translates.
 Instances and violations come out in subset enumeration order, exactly as a
 plain per-subset sweep gives them.
 
-ortho and repno classify only the candidate patterns that can have B_h order
+ortho and repno check the same sets, so they share one classification per
+(q, k, h): the candidates met so far, with (pattern, profile) for each whose
+first deficit is at fold h + 1, kept for the latest (q, k, h) only.  The
+first sweep there fills it as far as it needs (a sampled ortho stops early)
+and the next one reads it and extends it; each still applies its own check.
+The classification is keyed on the engine bindings it called, so a patched
+profile_naive, say, starts a fresh one.
+
+The classification covers only the candidate patterns that can have B_h order
 exactly h: those on a relation plane of degree h + 1 (engine's
 _relation_planes and _plane_points).  Nothing qualifying is lost.  A set
 whose first deficit is at fold h + 1 has a collision x . A == y . A there;
@@ -48,9 +56,10 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .compositions import Composition, compositions_table, disjoint_support_pairs
 from .census import RepBoundViolation, SupportOverlapViolation, _rep_bound
@@ -62,7 +71,7 @@ from .engine import (
     profile_naive,
     sumset_sizes,
 )
-from .guards import InvariantError, require_subsets
+from .guards import MAX_COMPOSITIONS_ENV, InvariantError, require_subsets
 
 # Estimated share of patterns on a relation plane, planes(k, h+1) * (k-1) /
 # (q-k+1), up to which the ortho and repno sweeps classify only the walk's
@@ -162,17 +171,83 @@ def _candidate_patterns(q: int, k: int, h: int) -> tuple[str, Iterable[tuple[int
 
     Every pattern of B_h order exactly h lies on a relation plane of degree
     h + 1 (see the module docstring), so where the planes are few the walk
-    over them is the source; otherwise it is every pattern.
+    over them is the source; otherwise it is every pattern.  Either way the
+    patterns are produced lazily, so choosing the source walks nothing.
     """
     planes = _relation_planes(k, h + 1)
     if len(planes) * (k - 1) > PLANE_WALK_COST * (q - k + 1):
         return "patterns", (
             (1,) + rest for rest in itertools.combinations(range(2, q + 1), k - 1)
         )
+    return "planes", _plane_candidates(planes, q)
+
+
+def _plane_candidates(planes, q: int) -> Iterator[tuple[int, ...]]:
     points: set[tuple[int, ...]] = set()
     for r in planes:
         points.update(_plane_points(r, q))
-    return "planes", [(1,) + tuple(1 + d for d in point) for point in sorted(points)]
+    for point in sorted(points):
+        yield (1,) + tuple(1 + d for d in point)
+
+
+class _Classification:
+    """The candidates of one (q, k, h), classified in order as far as any
+    sweep has needed: qualifying holds (pattern, profile_naive(pattern,
+    h + 1)) for each one whose first deficit is at fold h + 1, and pending
+    yields the candidates not classified yet."""
+
+    def __init__(self, key: tuple, h: int, source: str, candidates: Iterable):
+        self.key = key
+        self.h = h
+        self.source = source
+        self.pending = iter(candidates)
+        self.qualifying: list[tuple[tuple[int, ...], SumsetProfile]] = []
+
+    def entries(self, work: dict) -> Iterator[tuple[tuple[int, ...], SumsetProfile]]:
+        """Every qualifying (pattern, profile) in order: first those already
+        held, counted as reused, then new ones, classified on demand."""
+        for entry in self.qualifying:
+            work["reused"] += 1
+            yield entry
+        while True:
+            try:
+                entry = self._classify_next(work)
+            except BaseException:
+                # a candidate was taken from pending but not recorded
+                self.key = None
+                raise
+            if entry is None:
+                return
+            yield entry
+
+    def _classify_next(self, work: dict) -> tuple[tuple[int, ...], SumsetProfile] | None:
+        h = self.h
+        for pattern in self.pending:
+            work["patterns_classified"] += 1
+            if first_deficit(pattern, sumset_sizes(pattern, h + 1)) == h + 1:
+                entry = (pattern, profile_naive(pattern, h + 1))
+                work["profiles"] += 1
+                self.qualifying.append(entry)
+                return entry
+        return None
+
+
+_latest: _Classification | None = None
+
+
+def _classified(q: int, k: int, h: int) -> _Classification:
+    """The classification of (q, k, h), reused when the last sweep left one
+    made with the same source, engine bindings and composition budget."""
+    global _latest
+    source, candidates = _candidate_patterns(q, k, h)
+    key = (
+        q, k, h, source,
+        sumset_sizes, first_deficit, profile_naive, _relation_planes, _plane_points,
+        os.environ.get(MAX_COMPOSITIONS_ENV),
+    )
+    if _latest is None or _latest.key != key:
+        _latest = _Classification(key, h, source, candidates)
+    return _latest
 
 
 def _violations_by_set(
@@ -188,27 +263,31 @@ def _violations_by_set(
     Raises ValueError when there is no such subset, so an empty sweep cannot
     pass.
 
-    The subsets starting at 1 are the gap patterns; each candidate is
-    classified and checked once, on itself.  The subsets starting at c + 1
-    are the translates by c of the patterns with largest element at most
-    q - c, met in the same order.  When no pattern violated they are only
-    counted; otherwise a later pass walks the qualifying patterns again and
-    re-checks a translate on its own elements only when its pattern
-    violated.
+    The subsets starting at 1 are the gap patterns.  Their classification
+    and profiles come from the shared classification of (q, k, h), extended
+    only as far as this sweep reads it; each qualifying pattern is checked
+    once, on itself.  The subsets starting at c + 1 are the translates by c
+    of the patterns with largest element at most q - c, met in the same
+    order.  When no pattern violated they are only counted; otherwise a
+    later pass walks the qualifying patterns again and re-checks a translate
+    on its own elements only when its pattern violated.  work counts what
+    this call did: new classifications and profiles, and the qualifying
+    classifications reused.
     """
     limit = math.inf if sample is None else sample
-    source, candidates = _candidate_patterns(q, k, h)
-    work = {"patterns_classified": 0, "profiles": 0, "source": source}
+    classification = _classified(q, k, h)
+    work = {
+        "patterns_classified": 0,
+        "profiles": 0,
+        "reused": 0,
+        "source": classification.source,
+    }
     instances = 0
     violations: list = []
     qualifying: list[tuple[int, ...]] = []
     violated: set[tuple[int, ...]] = set()
-    for pattern in candidates:
-        work["patterns_classified"] += 1
-        if first_deficit(pattern, sumset_sizes(pattern, h + 1)) != h + 1:
-            continue
-        found = check(pattern, profile_naive(pattern, h + 1))
-        work["profiles"] += 1
+    for pattern, profile in classification.entries(work):
+        found = check(pattern, profile)
         instances += 1
         qualifying.append(pattern)
         violations.extend(found)

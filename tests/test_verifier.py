@@ -10,6 +10,7 @@ from sumset_census import (
     Collision,
     InvariantError,
     cli,
+    engine,
     verifier,
     profile_naive,
     realize_total,
@@ -321,20 +322,124 @@ class TestCandidateSource:
 
     @pytest.mark.parametrize("q,h", [(12, 2), (16, 2), (20, 2), (24, 3)])
     def test_five_element_points_take_every_pattern(self, q, h):
+        _evict_classification()
         verdict = verify_repno(q, 5, h)
         assert verdict.work["source"] == "patterns"
         assert verdict.work["patterns_classified"] == math.comb(q - 1, 4)
 
     def test_work_counts(self):
+        _evict_classification()
         verdict = verify_ortho(20, 2)
         assert verdict.work == {
             "patterns_classified": 437,
             "profiles": 386,
+            "reused": 0,
             "source": "planes",
         }
         assert "work" not in json.loads(verdict.to_json())
-        # a sample inside the first pass stops classifying there
+        # a sample inside the first pass stops classifying there, from cold
         assert verify_ortho(30, 2, sample=5).work["profiles"] == 5
+
+
+def _evict_classification():
+    # the shared classification holds one (q, k, h), so a sweep at another
+    # point leaves the next sweep at any grid point to start cold
+    verify_ortho(12, 2)
+
+
+class TestSharedClassification:
+    """ortho and repno share one classification per (q, k, h): the second
+    sweep reuses what the first classified, warm or cold gives the same
+    bytes as the plain sweeps, and each verdict counts only its own work."""
+
+    def test_second_sweep_classifies_nothing(self):
+        _evict_classification()
+        verify_ortho(20, 2)
+        assert verify_repno(20, 4, 2).work == {
+            "patterns_classified": 0,
+            "profiles": 0,
+            "reused": 386,
+            "source": "planes",
+        }
+
+    @pytest.mark.parametrize("q,h", DEFAULT_GRID)
+    def test_repno_before_and_after_ortho(self, q, h):
+        ortho, repno = plain_ortho(q, h).to_json(), plain_repno(q, 4, h).to_json()
+        _evict_classification()
+        assert verify_repno(q, 4, h).to_json() == repno
+        assert verify_ortho(q, h).to_json() == ortho
+        assert verify_repno(q, 4, h).to_json() == repno
+
+    def test_sample_then_full_sweeps(self):
+        _evict_classification()
+        sampled = verify_ortho(30, 2, sample=5)
+        assert sampled.to_json() == plain_ortho(30, 2, sample=5).to_json()
+        repno = verify_repno(30, 4, 2)
+        assert repno.work["reused"] == 5
+        assert repno.to_json() == plain_repno(30, 4, 2).to_json()
+        ortho = verify_ortho(30, 2)
+        assert ortho.work["patterns_classified"] == 0
+        assert ortho.to_json() == plain_ortho(30, 2).to_json()
+
+    def test_full_then_sampled_sweeps(self):
+        _evict_classification()
+        assert verify_ortho(20, 3).to_json() == plain_ortho(20, 3).to_json()
+        for sample in (40, 500):
+            verdict = verify_ortho(20, 3, sample=sample)
+            assert (verdict.work["patterns_classified"], verdict.work["profiles"]) == (0, 0)
+            assert verdict.to_json() == plain_ortho(20, 3, sample=sample).to_json()
+
+    def test_refusals_on_a_warm_classification(self, monkeypatch):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="nothing to check"):
+                verify_ortho(8, 6)
+        verify_ortho(40, 2)
+        monkeypatch.setenv("SUMSET_MAX_SUBSETS", "100")
+        with pytest.raises(BudgetExceededError):
+            verify_ortho(40, 2)
+        with pytest.raises(BudgetExceededError):
+            verify_repno(40, 4, 2)
+
+    def test_composition_budget_on_a_warm_classification(self, monkeypatch):
+        verify_ortho(20, 2)
+        monkeypatch.setenv("SUMSET_MAX_COMPOSITIONS", "10")
+        with pytest.raises(BudgetExceededError):
+            verify_repno(20, 4, 2)
+        # with the budget back the sweep classifies afresh
+        monkeypatch.delenv("SUMSET_MAX_COMPOSITIONS")
+        verdict = verify_repno(20, 4, 2)
+        assert verdict.work["patterns_classified"] == 437
+        assert verdict.to_json() == plain_repno(20, 4, 2).to_json()
+
+    def test_interrupted_classification_is_not_reused(self, monkeypatch):
+        # a failure inside profile_naive, below the bindings the
+        # classification is keyed on, leaves a candidate taken unrecorded
+        class Interrupted(Exception):
+            pass
+
+        real, calls = engine._collision_scan, itertools.count()
+
+        def interrupted(elems, h):
+            if next(calls) == 10:
+                raise Interrupted
+            return real(elems, h)
+
+        _evict_classification()
+        monkeypatch.setattr(engine, "_collision_scan", interrupted)
+        with pytest.raises(Interrupted):
+            verify_repno(20, 4, 2)
+        monkeypatch.undo()
+        assert verify_repno(20, 4, 2).to_json() == plain_repno(20, 4, 2).to_json()
+
+    @pytest.mark.parametrize("h,cost,source", [(4, math.inf, "planes"), (2, -1, "patterns")])
+    def test_forced_source_classifies_afresh(self, h, cost, source, monkeypatch):
+        # (20, 4, 4) takes every pattern by default, (20, 4, 2) the walk
+        verify_ortho(20, h)
+        monkeypatch.setattr(verifier, "PLANE_WALK_COST", cost)
+        verdict = verify_repno(20, 4, h)
+        assert verdict.work["source"] == source
+        assert verdict.work["reused"] == 0
+        assert verdict.to_json() == plain_repno(20, 4, h).to_json()
 
 
 def _assert_explicit_violations(verdict):
@@ -390,3 +495,23 @@ class TestFaultInjection:
         _assert_same_verdict(verdict, plain_ortho(20, 2))
         _assert_explicit_violations(verdict)
         _assert_same_verdict(verify_ortho(20, 3, sample=40), plain_ortho(20, 3, sample=40))
+
+    def test_patch_after_a_warm_classification(self, monkeypatch):
+        # the classification at (20, 4, 2) holds real profiles; a patched
+        # profile_naive must not be answered from it, nor the patch's
+        # profiles outlive it
+        assert verify_ortho(20, 2).passed
+        real = verifier.profile_naive
+
+        def first_vector_twice(a, h):
+            profile = real(a, h)
+            first, *rest = profile.collisions
+            doubled = Collision(first.n, first.vectors + first.vectors[:1])
+            return dataclasses.replace(profile, collisions=(doubled, *rest))
+
+        monkeypatch.setattr(verifier, "profile_naive", first_vector_twice)
+        verdict = verify_ortho(20, 2)
+        assert not verdict.passed
+        _assert_same_verdict(verdict, plain_ortho(20, 2))
+        monkeypatch.undo()
+        assert verify_ortho(20, 2).passed
