@@ -36,6 +36,7 @@ from typing import Iterable, NamedTuple
 
 from .compositions import (
     Composition,
+    _support_mask,
     compositions_table,
     figurate_gap,
     multiset_count,
@@ -210,7 +211,7 @@ class _SetEvaluator:
         }
         # per composition: bitmask of occupied slots, for pairwise disjointness
         self.supp_of = {
-            d: [sum(1 << i for i, v in enumerate(x) if v) for x in compositions_table(d, k)]
+            d: [_support_mask(x) for x in compositions_table(d, k)]
             for d in range(2, h_cap + 1)
         }
         self.rep_bound = _rep_bound(k)

@@ -84,6 +84,11 @@ def compositions_table(h: int, k: int) -> tuple[Composition, ...]:
     return tuple(enumerate_compositions(h, k))
 
 
+def _support_mask(x: Composition) -> int:
+    """Bitmask of the slots x occupies: bit i is set when x_i > 0."""
+    return sum(1 << i for i, v in enumerate(x) if v)
+
+
 def support(x: Iterable[int]) -> frozenset[int]:
     """1-based index set of the positive entries of a vector.
 
@@ -128,9 +133,7 @@ def disjoint_support_pairs(h: int, k: int) -> PairCensus:
     require_compositions(
         f"disjoint-support pair census for h={h}, k={k}", multiset_count(h, k)
     )
-    by_mask = Counter(
-        sum(1 << i for i, v in enumerate(x) if v) for x in compositions_table(h, k)
-    )
+    by_mask = Counter(_support_mask(x) for x in compositions_table(h, k))
     ordered = sum(
         n_s * n_t
         for s, n_s in by_mask.items()

@@ -38,7 +38,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
-from .compositions import Composition, compositions_table, figurate_gap, multiset_count
+from .compositions import (
+    Composition,
+    _support_mask,
+    compositions_table,
+    figurate_gap,
+    multiset_count,
+)
 from .guards import (
     DEFAULT_MAX_BITMAP_BITS,
     InvariantError,
@@ -268,7 +274,7 @@ def _relation_planes(k: int, w: int) -> tuple[tuple[int, ...], ...]:
     """
     by_mask: dict[int, list[Composition]] = {}
     for x in compositions_table(w, k):
-        by_mask.setdefault(sum(1 << i for i, v in enumerate(x) if v), []).append(x)
+        by_mask.setdefault(_support_mask(x), []).append(x)
     planes = []
     for s, xs in by_mask.items():
         for t, ys in by_mask.items():

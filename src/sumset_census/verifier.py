@@ -16,12 +16,12 @@ Instances and violations come out in subset enumeration order, exactly as a
 plain per-subset sweep gives them.
 
 ortho and repno check the same sets, so they share one classification per
-(q, k, h): the candidates met so far, with (pattern, profile) for each whose
-first deficit is at fold h + 1, kept for the latest (q, k, h) only.  The
-first sweep there fills it as far as it needs (a sampled ortho stops early)
-and the next one reads it and extends it; each still applies its own check.
-The classification is keyed on the engine bindings it called, so a patched
-profile_naive, say, starts a fresh one.
+(q, k, h): (pattern, profile) for each candidate whose first deficit is at
+fold h + 1.  A sweep that runs to its end leaves it for the next sweep with
+the same key, which still applies its own check; a sampled sweep that stops
+early leaves none, and the previous one is dropped before a new one starts.
+The key includes the engine bindings called, so a patched profile_naive,
+say, starts afresh.
 
 The classification covers only the candidate patterns that can have B_h order
 exactly h: those on a relation plane of degree h + 1 (engine's
@@ -190,64 +190,37 @@ def _plane_candidates(planes, q: int) -> Iterator[tuple[int, ...]]:
         yield (1,) + tuple(1 + d for d in point)
 
 
-class _Classification:
-    """The candidates of one (q, k, h), classified in order as far as any
-    sweep has needed: qualifying holds (pattern, profile_naive(pattern,
-    h + 1)) for each one whose first deficit is at fold h + 1, and pending
-    yields the candidates not classified yet."""
+# The last classification pass that ran to its end, as (key, entries).
+_complete: tuple[tuple | None, list] = (None, [])
 
-    def __init__(self, key: tuple, h: int, source: str, candidates: Iterable):
-        self.key = key
-        self.h = h
-        self.source = source
-        self.pending = iter(candidates)
-        self.qualifying: list[tuple[tuple[int, ...], SumsetProfile]] = []
 
-    def entries(self, work: dict) -> Iterator[tuple[tuple[int, ...], SumsetProfile]]:
-        """Every qualifying (pattern, profile) in order: first those already
-        held, counted as reused, then new ones, classified on demand."""
-        for entry in self.qualifying:
+def _qualifying(
+    q: int, k: int, h: int, work: dict
+) -> Iterator[tuple[tuple[int, ...], SumsetProfile]]:
+    """(pattern, profile_naive(pattern, h + 1)) for each candidate of
+    (q, k, h) whose first deficit is at fold h + 1, in order: from the last
+    complete pass when its key matches, else afresh; the source and the
+    counts go into work."""
+    global _complete
+    source, candidates = _candidate_patterns(q, k, h)
+    work["source"] = source
+    key = (q, k, h, source, sumset_sizes, first_deficit, profile_naive,
+           _relation_planes, _plane_points, os.environ.get(MAX_COMPOSITIONS_ENV))
+    if _complete[0] == key:
+        for entry in _complete[1]:
             work["reused"] += 1
             yield entry
-        while True:
-            try:
-                entry = self._classify_next(work)
-            except BaseException:
-                # a candidate was taken from pending but not recorded
-                self.key = None
-                raise
-            if entry is None:
-                return
+        return
+    _complete = (None, [])
+    entries = []
+    for pattern in candidates:
+        work["patterns_classified"] += 1
+        if first_deficit(pattern, sumset_sizes(pattern, h + 1)) == h + 1:
+            entry = (pattern, profile_naive(pattern, h + 1))
+            work["profiles"] += 1
+            entries.append(entry)
             yield entry
-
-    def _classify_next(self, work: dict) -> tuple[tuple[int, ...], SumsetProfile] | None:
-        h = self.h
-        for pattern in self.pending:
-            work["patterns_classified"] += 1
-            if first_deficit(pattern, sumset_sizes(pattern, h + 1)) == h + 1:
-                entry = (pattern, profile_naive(pattern, h + 1))
-                work["profiles"] += 1
-                self.qualifying.append(entry)
-                return entry
-        return None
-
-
-_latest: _Classification | None = None
-
-
-def _classified(q: int, k: int, h: int) -> _Classification:
-    """The classification of (q, k, h), reused when the last sweep left one
-    made with the same source, engine bindings and composition budget."""
-    global _latest
-    source, candidates = _candidate_patterns(q, k, h)
-    key = (
-        q, k, h, source,
-        sumset_sizes, first_deficit, profile_naive, _relation_planes, _plane_points,
-        os.environ.get(MAX_COMPOSITIONS_ENV),
-    )
-    if _latest is None or _latest.key != key:
-        _latest = _Classification(key, h, source, candidates)
-    return _latest
+    _complete = (key, entries)
 
 
 def _violations_by_set(
@@ -263,30 +236,22 @@ def _violations_by_set(
     Raises ValueError when there is no such subset, so an empty sweep cannot
     pass.
 
-    The subsets starting at 1 are the gap patterns.  Their classification
-    and profiles come from the shared classification of (q, k, h), extended
-    only as far as this sweep reads it; each qualifying pattern is checked
-    once, on itself.  The subsets starting at c + 1 are the translates by c
-    of the patterns with largest element at most q - c, met in the same
-    order.  When no pattern violated they are only counted; otherwise a
-    later pass walks the qualifying patterns again and re-checks a translate
-    on its own elements only when its pattern violated.  work counts what
-    this call did: new classifications and profiles, and the qualifying
-    classifications reused.
+    The subsets starting at 1 are the gap patterns, read from _qualifying as
+    far as this sweep needs and each checked once, on itself.  The subsets
+    starting at c + 1 are the translates by c of the patterns with largest
+    element at most q - c, met in the same order.  When no pattern violated
+    they are only counted; otherwise a later pass walks the qualifying
+    patterns again and re-checks a translate on its own elements only when
+    its pattern violated.  work counts what this call did: new
+    classifications and profiles, and entries reused from a complete pass.
     """
     limit = math.inf if sample is None else sample
-    classification = _classified(q, k, h)
-    work = {
-        "patterns_classified": 0,
-        "profiles": 0,
-        "reused": 0,
-        "source": classification.source,
-    }
+    work = {"patterns_classified": 0, "profiles": 0, "reused": 0, "source": None}
     instances = 0
     violations: list = []
     qualifying: list[tuple[int, ...]] = []
     violated: set[tuple[int, ...]] = set()
-    for pattern, profile in classification.entries(work):
+    for pattern, profile in _qualifying(q, k, h, work):
         found = check(pattern, profile)
         instances += 1
         qualifying.append(pattern)

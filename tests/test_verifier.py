@@ -342,15 +342,16 @@ class TestCandidateSource:
 
 
 def _evict_classification():
-    # the shared classification holds one (q, k, h), so a sweep at another
-    # point leaves the next sweep at any grid point to start cold
+    # only the last complete pass is kept, so a full sweep at another point
+    # leaves the next sweep at any grid point to start cold
     verify_ortho(12, 2)
 
 
 class TestSharedClassification:
-    """ortho and repno share one classification per (q, k, h): the second
-    sweep reuses what the first classified, warm or cold gives the same
-    bytes as the plain sweeps, and each verdict counts only its own work."""
+    """ortho and repno share one classification per (q, k, h): a sweep that
+    ran to its end leaves it for the next one, a sampled sweep that stopped
+    early leaves none, warm or cold gives the same bytes as the plain sweeps,
+    and each verdict counts only its own work."""
 
     def test_second_sweep_classifies_nothing(self):
         _evict_classification()
@@ -374,12 +375,22 @@ class TestSharedClassification:
         _evict_classification()
         sampled = verify_ortho(30, 2, sample=5)
         assert sampled.to_json() == plain_ortho(30, 2, sample=5).to_json()
+        # the sampled pass stopped early, so it was stored nowhere
         repno = verify_repno(30, 4, 2)
-        assert repno.work["reused"] == 5
+        assert repno.work["reused"] == 0
+        _, candidates = verifier._candidate_patterns(30, 4, 2)
+        assert repno.work["patterns_classified"] == len(list(candidates))
         assert repno.to_json() == plain_repno(30, 4, 2).to_json()
         ortho = verify_ortho(30, 2)
         assert ortho.work["patterns_classified"] == 0
         assert ortho.to_json() == plain_ortho(30, 2).to_json()
+
+    def test_sampled_sweeps_stay_lazy(self):
+        _evict_classification()
+        for _ in range(2):
+            sampled = verify_ortho(30, 2, sample=5)
+            assert (sampled.work["profiles"], sampled.work["reused"]) == (5, 0)
+            assert sampled.to_json() == plain_ortho(30, 2, sample=5).to_json()
 
     def test_full_then_sampled_sweeps(self):
         _evict_classification()
