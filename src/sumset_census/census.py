@@ -137,9 +137,10 @@ def detect_gaps(hist: SizeHistogram, h: int) -> GapReport:
     confirmed = []
     strongly = []
     ratios: list[float | None] = []
+    # rung j lies between bands j - 1 and j; there is no band past either end
+    padded = (0,) + intermediate_max + (0,)
     for j, rung_count in enumerate(counts):
-        adjacent = (bands[j - 1] if j > 0 else ()) + (bands[j] if j < len(bands) else ())
-        adj_max = max((hist.counts.get(s, 0) for s in adjacent), default=0)
+        adj_max = max(padded[j], padded[j + 1])
         ok = rung_count > adj_max
         confirmed.append(ok)
         if adj_max == 0:

@@ -77,8 +77,9 @@ class Collision(NamedTuple):
 class SetVector:
     """A k-element subset of [1..q] held as a strictly increasing tuple.
 
-    Construction rejects degenerate input: fewer than two elements, repeated
-    elements, elements outside [1..q].
+    Construction rejects degenerate input: fewer than two elements, elements
+    not given in increasing order, elements above q, and whatever elements_of
+    refuses (non-integers, repeats, elements below 1).
     """
 
     elements: tuple[int, ...]
@@ -88,13 +89,8 @@ class SetVector:
         elems = self.elements
         if len(elems) < 2:
             raise ValueError(f"a set vector needs at least 2 elements, got {elems}")
-        for a in elems:
-            if not isinstance(a, int):
-                raise ValueError(f"elements must be integers, got {a!r}")
-        if any(b <= a for a, b in zip(elems, elems[1:])):
+        if elements_of(elems) != tuple(elems):
             raise ValueError(f"elements must be strictly increasing, got {elems}")
-        if elems[0] < 1:
-            raise ValueError(f"elements must be >= 1, got {elems[0]}")
         if elems[-1] > self.q:
             raise ValueError(f"largest element {elems[-1]} exceeds bound q={self.q}")
 
@@ -102,8 +98,6 @@ class SetVector:
     def from_values(cls, values: Iterable[int], q: int | None = None) -> "SetVector":
         """Build from unordered values; repeats are rejected, q defaults to max."""
         elems = tuple(sorted(values))
-        if len(set(elems)) != len(elems):
-            raise ValueError(f"repeated element in {elems}")
         return cls(elems, q if q is not None else (elems[-1] if elems else 0))
 
     @property
@@ -118,11 +112,16 @@ def elements_of(a: SetLike) -> tuple[int, ...]:
     """Normalize a SetVector or an iterable of distinct positive integers.
 
     Profiles are well defined for any nonempty set, including singletons, so
-    unlike SetVector this accepts k == 1.
+    unlike SetVector this accepts k == 1.  A non-integer element is refused
+    with ValueError.
     """
     if isinstance(a, SetVector):
         return a.elements
-    elems = tuple(sorted(a))
+    elems = tuple(a)
+    for e in elems:
+        if not isinstance(e, int):
+            raise ValueError(f"elements must be integers, got {e!r}")
+    elems = tuple(sorted(elems))
     if not elems:
         raise ValueError("set must be nonempty")
     if elems[0] < 1:

@@ -182,19 +182,13 @@ def verify_member(a: SetLike, h: int, max_step: int = 1) -> MemberVerification:
     deficits_ok = all(d == tetrahedral(step) for step, d in zip(steps, deficits))
 
     signature = (h, -(h + 1), 1, 0)
-    trivial_only_ok = True
-    for step in steps:
-        for collision in profile_naive(elems, h + step).collisions:
-            if len(collision.vectors) != 2:
-                trivial_only_ok = False
-                break
-            x, y = collision.vectors
-            diff = tuple(u - v for u, v in zip(x, y))
-            if diff != signature and diff != tuple(-v for v in signature):
-                trivial_only_ok = False
-                break
-        if not trivial_only_ok:
-            break
+    trivial = {signature, tuple(-v for v in signature)}
+    trivial_only_ok = all(
+        len(collision.vectors) == 2
+        and tuple(u - v for u, v in zip(*collision.vectors)) in trivial
+        for step in steps
+        for collision in profile_naive(elems, h + step).collisions
+    )
 
     separation_ok = (h + 1) * elems[2] < elems[3]
 

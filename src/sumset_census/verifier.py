@@ -7,10 +7,10 @@ composition-enumeration oracle, rather than the census fast path, so they
 double as an independent route to the same facts.
 
 Translating a set by c adds c*i to every i-fold sum and leaves every
-composition alone, so each sweep does its expensive step once per
+composition alone, so ortho and repno do their expensive step once per
 translation class (gap pattern), on the translate starting at 1, and
-counts every translate of it; ortho and repno re-check a translate on its
-own elements only when its pattern violated, so violations name explicit
+count every translate of it; they re-check a translate on its own
+elements only when its pattern violated, so violations name explicit
 subsets, and when no pattern violated they only count the translates.
 Instances and violations come out in subset enumeration order, exactly as a
 plain per-subset sweep gives them.
@@ -37,8 +37,9 @@ classified through sumset_sizes and first_deficit and profiled through
 profile_naive: the walk never decides a verdict.  Where planes are dense,
 as at k = 5 at desk scale, the walk costs more than it saves, so the source
 is chosen by a cost read off (q, k, h) (PLANE_WALK_COST); the other source
-is every pattern.  ddp gathers each span's dot products by progression
-masks (_dot_products).
+is every pattern.  ddp needs no patterns: its dot products are the sums of
+h + 1 elements of [1..q] with at most four distinct values, built by a
+four-round DP over values (_dot_products).
 
 Verified statements, at desk scale:
   ortho      colliding vector pairs at the first colliding order have
@@ -47,7 +48,7 @@ Verified statements, at desk scale:
              representations, and some sum has at least 2
   ddp        every s in [5h .. hq] is an (h+1)-fold dot product over some
              4-subset of [1..q], found both by an explicit division-algorithm
-             recipe and by exhaustive enumeration
+             recipe and among all such dot products, built by the DP
   paircount  the disjoint-support pair census matches 5h^2+1 and 5h^2-5
 """
 
@@ -61,7 +62,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .compositions import Composition, compositions_table, disjoint_support_pairs
+from .compositions import Composition, disjoint_support_pairs
 from .census import RepBoundViolation, SupportOverlapViolation, _rep_bound
 from .engine import (
     SumsetProfile,
@@ -407,8 +408,9 @@ def realize_total(s: int, h: int, q: int) -> RealizedTotal:
 
 def verify_ddp(q: int, h: int) -> tuple[LemmaVerdict, DotProductRange]:
     """Check that every s in [5h .. hq] is realized as an (h+1)-fold dot
-    product over a 4-subset of [1..q], by recipe and by exhaustive
-    enumeration, and that the achievable range is [h+1 .. (h+1)q].
+    product over a 4-subset of [1..q], by recipe and among all such dot
+    products (_dot_products), and that the achievable range is
+    [h+1 .. (h+1)q].
     """
     if q < 7:
         raise ValueError(f"need q >= 7, got {q}")
@@ -462,29 +464,26 @@ def _dot_products(q: int, h: int) -> frozenset[int]:
     """Every x . A over compositions x of h + 1 into 4 parts and 4-subsets A
     of [1..q].
 
-    A = c + (0, d1, d2, span) gives x . A = (h+1)c + x . (0, d1, d2, span),
-    so the dot products of each pattern are gathered once, in one bitmask
-    per span, and shifted by (h+1)c for c = 1..q-span.  For one span, x and
-    d1, the values over d2 = d1+1..span-1 are the progression x2*d2: one
-    cached mask per (x2, run length), shifted by x1*d1 + x2*(d1+1) +
-    x3*span.  A zero step gives a single bit.
+    x . A is a sum of h + 1 elements of [1..q] that uses at most four
+    distinct values, those of A with nonzero weight.  Conversely, such a sum
+    is an x . A: q >= 4 leaves room to pad the values it uses into a 4-subset
+    of [1..q], with zero weight on the padding.  So reach[c], the bitmask of
+    sums of c elements, starts from the empty sum and takes four rounds, each
+    keeping every sum it already holds and adding m >= 1 copies of one value
+    v in 1..q to the sums of c - m elements.  After r rounds reach holds the
+    sums with at most r distinct values: four rounds, not more, because more
+    would admit sums no 4-subset gives.  (The output cannot show the
+    difference, since sums of two values already fill [h+1 .. (h+1)q].)
     """
-    comps = compositions_table(h + 1, 4)
-    runs: dict[tuple[int, int], int] = {}
-    mask = 0
-    for span in range(3, q):
-        dots = 0
-        for _, x1, x2, x3 in comps:
-            for d1 in range(1, span - 1):
-                length = span - 1 - d1
-                run = runs.get((x2, length))
-                if run is None:
-                    run = runs[(x2, length)] = (
-                        sum(1 << (x2 * m) for m in range(length)) if x2 else 1
-                    )
-                dots |= run << (x1 * d1 + x2 * (d1 + 1) + x3 * span)
-        for c in range(1, q - span + 1):
-            mask |= dots << ((h + 1) * c)
+    reach = [1] + [0] * (h + 1)
+    for _ in range(4):
+        grown = list(reach)
+        for c in range(1, h + 2):
+            for m in range(1, c + 1):
+                for v in range(1, q + 1):
+                    grown[c] |= reach[c - m] << (m * v)
+        reach = grown
+    mask = reach[h + 1]
     return frozenset(t for t in range(mask.bit_length()) if mask >> t & 1)
 
 

@@ -87,6 +87,22 @@ class TestSetVector:
             SetVector.from_values([1, 1, 2, 3])
 
 
+class TestElementsOf:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: profile_naive((1, 2.5), 2),
+            lambda: sumset_sizes((1, 2.5), 2),
+            lambda: classify((1, 2.5, 7)),
+            lambda: SetVector((1, 2.5, 7), 10),
+            lambda: SetVector((1, "2"), 10),
+        ],
+    )
+    def test_non_integer_element_is_refused(self, call):
+        with pytest.raises(ValueError, match="elements must be integers"):
+            call()
+
+
 class TestProfileNaive:
     def test_worked_example_order_two(self):
         profile = profile_naive((1, 2, 8, 10), 2)

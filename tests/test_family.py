@@ -164,6 +164,8 @@ class TestVerifyMember:
             verify_member((1, 6, 16, 7920), 1)
         with pytest.raises(ValueError):
             verify_member((1, 6, 16, 7920), 2, max_step=0)
+        with pytest.raises(ValueError, match="integers"):
+            verify_member((1.0, 6, 16, 7920), 2)
 
     @pytest.mark.parametrize("h,max_step", [(2, 2), (2, 5), (3, 3)])
     def test_steps_past_order_2h_minus_1_are_refused(self, h, max_step):

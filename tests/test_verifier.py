@@ -208,6 +208,18 @@ class TestDdp:
         assert all(s in dot_range.achievable for s in range(40, 57))
         assert (dot_range.min_achievable, dot_range.max_achievable) == (9, 63)
 
+    def test_reaches_q_200(self):
+        # C(200, 4) is under the default subset budget
+        verdict, dot_range = verify_ddp(200, 6)
+        assert verdict.passed
+        assert verdict.instances == 1171
+        assert (dot_range.min_achievable, dot_range.max_achievable) == (7, 1400)
+
+    def test_dot_products_match_enumeration(self):
+        for q in range(7, 15):
+            for h in range(1, 9):
+                assert verifier._dot_products(q, h) == plain_ddp_achievable(q, h), (q, h)
+
     def test_budget_and_degenerate(self, monkeypatch):
         monkeypatch.setenv("SUMSET_MAX_SUBSETS", "1000")
         with pytest.raises(BudgetExceededError) as excinfo:
