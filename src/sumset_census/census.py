@@ -9,18 +9,30 @@ of colliding vectors.  Per-order size histograms, population tallies and any
 violations are accumulated exactly.
 
 Every tallied figure depends on a subset only through its gap pattern up to
-reflection, so the sweep goes over gap patterns, evaluates one of each
-mirror pair, and counts it once per subset it stands for (see
-_census_shard).  Violations name explicit subsets: when a pattern violates,
-its translates are evaluated again only to collect theirs, and add nothing
-to the tallies.
+reflection.  A subset collides by fold h_cap exactly when its pattern lies on
+a primitive relation plane of degree at most h_cap (engine._relation_planes),
+so for k <= 4 the census walks those planes once (_walk_planes).  A pattern
+on one plane only, of degree w, has |iA| = M(i, k) - M(i - w, k) at every
+fold: each plane is evaluated once, on one representative, for all the
+subsets of its one-plane patterns, and the representative must match that
+closed form.  At k = 4 the patterns on two or more planes are the points of
+the lines where two planes meet (engine._relation_lines); each is evaluated
+once per mirror pair, and its first colliding fold must be the lowest degree
+of its planes.  At k <= 3 there are none.  The subsets on no plane are
+capped and add to the top bin of every fold.  For k >= 5, where most
+colliding patterns lie on three or more planes, the census instead
+evaluates every gap pattern, one per mirror pair (_census_shard).  Each
+evaluation is counted once per subset it stands for.  Violations name
+explicit subsets: when an evaluation violates, the translates it stands for
+are evaluated again only to collect theirs, and add nothing to the tallies.
 
-Work is partitioned by span (largest minus smallest element) into shards.
-Shard tallies merge by plain addition and list concatenation followed by
-sorting, so the merged report is independent of the shard count and of
-whether shards ran inline or in worker processes.  Per evaluated pattern,
-the collision scan recounts the sumset size at order h_star + 1 by
-composition enumeration; any disagreement with the bitmap kernel aborts the
+Shards split the evaluations: for k <= 4 the planes and line points of the
+one walk, for k >= 5 the patterns by span.  Shard tallies merge by plain
+addition and list concatenation followed by sorting, so the merged report is
+independent of the shard count and of whether shards ran inline or in worker
+processes.  Per evaluated set, the collision scan recounts the sumset size
+at order h_star + 1 by composition enumeration; any disagreement with the
+bitmap kernel, or with the closed form or plane degrees above, aborts the
 sweep with InvariantError.
 """
 
@@ -42,7 +54,14 @@ from .compositions import (
     multiset_count,
     tetrahedral,
 )
-from .engine import _collision_scan, _fold_sizes, _plane_points, first_deficit
+from .engine import (
+    _collision_scan,
+    _fold_sizes,
+    _plane_points,
+    _relation_lines,
+    _relation_planes,
+    first_deficit,
+)
 from .guards import InvariantError, require_subsets
 
 DEFAULT_STRONG_RATIO = 10.0
@@ -188,6 +207,14 @@ class _ShardTally:
         )
 
 
+class _Evaluation(NamedTuple):
+    """One evaluated set: |iA| for i = 1..h_cap, first colliding fold, violations."""
+
+    sizes: list[int]
+    first: int
+    violations: list
+
+
 def _rep_bound(k: int) -> int:
     """Largest representation count allowed at order h_star + 1."""
     return (k + 1) // 2
@@ -217,8 +244,9 @@ class _SetEvaluator:
         }
         self.rep_bound = _rep_bound(k)
 
-    def evaluate(self, elems: tuple[int, ...], tally: _ShardTally, weight: int) -> list:
-        """Count elems weight times into tally and return its violations.
+    def evaluate(self, elems: tuple[int, ...], tally: _ShardTally, weight: int) -> _Evaluation:
+        """Count elems weight times into tally; return its sizes, first
+        colliding fold (0 when capped) and violations.
 
         Weight 0 adds nothing to the tally; the violations still name elems.
         """
@@ -231,7 +259,7 @@ class _SetEvaluator:
                 tally.hist[i][size] += weight
         if not first:
             tally.capped += weight
-            return []
+            return _Evaluation(sizes, 0, [])
         h_star = first - 1
         violations: list = []
         for step, bound in enumerate(self.ladder[h_star], 1):
@@ -269,11 +297,31 @@ class _SetEvaluator:
             if m_of[first] - sizes[h_star] >= 2:
                 tally.exceptional[h_star] += weight
             tally.rep_profile[(h_star, max_reps)] += weight
-        return violations
+        return _Evaluation(sizes, first, violations)
+
+
+def _mirror(d: tuple[int, ...]) -> tuple[int, ...]:
+    """The gap vector of the reflection s -> span - s of the pattern (0,) + d."""
+    span = d[-1]
+    return tuple(span - s for s in reversed(d[:-1])) + (span,)
+
+
+def _keep_violations(
+    evaluator: _SetEvaluator, q: int, d: tuple[int, ...], tally: _ShardTally
+) -> None:
+    """Keep the violations of every translate in [1..q] of the pattern (0,) + d.
+
+    Each translate is evaluated at weight 0, which adds nothing to the tally.
+    """
+    shape = (0,) + d
+    for c in range(1, q - d[-1] + 1):
+        elems = tuple(c + s for s in shape)
+        tally.violations.extend(evaluator.evaluate(elems, tally, 0).violations)
 
 
 def _census_shard(args: tuple[int, int, int, int, int]) -> _ShardTally:
-    """Tally every k-subset of [1..q] whose span is shard_index modulo shards.
+    """Tally every k-subset of [1..q] whose span is shard_index modulo shards,
+    one gap pattern at a time: the census for k >= 5.
 
     A subset is a translate of its gap pattern (0, s_1, ..., s_{k-2}, span),
     and every tallied figure depends on the pattern only up to reflection
@@ -298,13 +346,128 @@ def _census_shard(args: tuple[int, int, int, int, int]) -> _ShardTally:
                 continue
             pattern = (0,) + interior + (span,)
             symmetric = interior == mirrored
-            if not evaluator.evaluate(pattern, tally, (q - span) * (1 if symmetric else 2)):
-                continue
-            shapes = [pattern] if symmetric else [pattern, (0,) + mirrored + (span,)]
-            for shape in shapes:
-                for c in range(1, q - span + 1):
-                    elems = tuple(c + s for s in shape)
-                    tally.violations.extend(evaluator.evaluate(elems, tally, 0))
+            if evaluator.evaluate(pattern, tally, (q - span) * (1 if symmetric else 2)).violations:
+                for shape in {interior, mirrored}:
+                    _keep_violations(evaluator, q, shape + (span,), tally)
+    return tally
+
+
+def _line_points(q: int, k: int, h_cap: int) -> list[tuple[int, ...]]:
+    """Gap vectors below q on two or more relation planes of degree <= h_cap.
+
+    For k <= 4 only: a 4-set pattern on two planes is t*u for a direction u
+    of _relation_lines; two planes of Z^2 meet only at 0, so a 3-set pattern
+    lies on one plane at most, and a 2-set pattern on none.
+    """
+    if k < 4:
+        return []
+    return [
+        (t * u1, t * u2, t * u3)
+        for u1, u2, u3 in _relation_lines(h_cap)
+        for t in range(1, (q - 1) // u3 + 1)
+    ]
+
+
+def _closed_form(k: int, w: int, h_cap: int) -> list[int]:
+    """|iA| for i = 1..h_cap of a k-set on exactly one plane of degree <= h_cap,
+    of degree w: M(i, k) - M(i - w, k).
+
+    With v the plane's relation and v+ its positive part, every collision
+    of iA is a chain x, x - v, x - 2v, ... of compositions, which holds
+    exactly one composition that does not dominate v+; the M(i - w, k)
+    compositions that do are the lost ones.
+    """
+    return [
+        multiset_count(i, k) - (multiset_count(i - w, k) if i >= w else 0)
+        for i in range(1, h_cap + 1)
+    ]
+
+
+def _walk_planes(q: int, k: int, h_cap: int) -> tuple[list, list, int]:
+    """Walk every relation plane of degree 2..h_cap once, for k <= 4.
+
+    A line point (on two or more planes) is counted for the planes the walk
+    meets it on, and the lowest degree among them.  Every other point lies
+    on its plane only; it adds its q - span translates to the plane's
+    weight, and the first of them is the plane's representative.
+
+    Returns (planes, lines, covered).  planes lists (r, w, representative,
+    weight) for each plane with a one-plane point, lines (d, weight, lowest
+    degree) for the lexicographically smaller of each mirror pair of line
+    points, weighted (q - span) * (1 or 2), and covered is the number of
+    subsets both stand for: every subset that collides by fold h_cap, once.
+    """
+    hits = {d: [0, 0] for d in _line_points(q, k, h_cap)}  # [planes met, lowest w]
+    planes = []
+    covered = 0
+    for w in range(2, h_cap + 1):
+        for r in _relation_planes(k, w):
+            representative, weight = None, 0
+            for d in _plane_points(r, q):
+                hit = hits.get(d)
+                if hit is None:
+                    weight += q - d[-1]
+                    if representative is None:
+                        representative = d
+                else:
+                    if not hit[0]:
+                        hit[1] = w
+                    hit[0] += 1
+            if weight:
+                planes.append((r, w, representative, weight))
+                covered += weight
+    lines = []
+    for d, (met, lowest) in sorted(hits.items()):
+        if met < 2:
+            raise InvariantError(f"line point {d} met on {met} relation planes, not 2 or more")
+        mirrored = _mirror(d)
+        if d > mirrored:
+            continue
+        weight = (q - d[-1]) * (1 if d == mirrored else 2)
+        lines.append((d, weight, lowest))
+        covered += weight
+    return planes, lines, covered
+
+
+def _plane_shard(args: tuple[int, int, int, list, list]) -> _ShardTally:
+    """Evaluate a share of the planes and line points of _walk_planes.
+
+    A plane's one-plane points all share the profile of the closed form, so
+    its representative is evaluated once, for all of their subsets, and its
+    sizes must equal that closed form.  A line point is evaluated for the
+    subsets of its mirror pair, and its first colliding fold must equal the
+    lowest degree of the planes it lies on.  Either mismatch raises
+    InvariantError.  Violations name explicit subsets: when a representative
+    violates, its plane is walked again and the translates of each of its
+    one-plane points are evaluated at weight 0; when a line point violates,
+    the translates of it and of its mirror are.
+    """
+    q, k, h_cap, planes, lines = args
+    evaluator = _SetEvaluator(k, h_cap)
+    tally = _ShardTally.empty(h_cap)
+    for r, w, representative, weight in planes:
+        found = evaluator.evaluate((0,) + representative, tally, weight)
+        closed = _closed_form(k, w, h_cap)
+        if found.sizes != closed:
+            raise InvariantError(
+                f"sizes {found.sizes} of {(0,) + representative}, on plane {r} "
+                f"only, differ from its closed form {closed}"
+            )
+        if found.violations:
+            line_points = set(_line_points(q, k, h_cap))
+            for d in _plane_points(r, q):
+                if d not in line_points:
+                    _keep_violations(evaluator, q, d, tally)
+    for d, weight, lowest in lines:
+        found = evaluator.evaluate((0,) + d, tally, weight)
+        if found.first != lowest:
+            raise InvariantError(
+                f"first collision of {(0,) + d} at fold {found.first}, but its "
+                f"lowest relation plane has degree {lowest}"
+            )
+        if found.violations:
+            for shape in {d, _mirror(d)}:
+                _keep_violations(evaluator, q, shape, tally)
     return tally
 
 
@@ -403,11 +566,16 @@ def run_census(
     """Census every k-subset of [1..q] up to fold h_cap.
 
     The subset count C(q,k) is checked against the sweep budget before any
-    enumeration.  The sweep evaluates gap patterns, one per translation and
-    reflection class, each counted for the subsets it stands for.  shards
-    controls the partition (by pattern span, modulo shards); workers > 1 runs
-    shards in processes.  Reports are identical for every shards/workers
-    choice.  A failed internal consistency check raises InvariantError.
+    enumeration.  For k <= 4 the census walks the relation planes of degree
+    2..h_cap once (_walk_planes), evaluates each plane's representative and
+    each line point for the subsets they stand for (_plane_shard), and counts
+    the remaining subsets, which collide by no fold up to h_cap, as capped.
+    For k >= 5 it evaluates every gap pattern, one per translation and
+    reflection class (_census_shard).  shards controls the partition of the
+    evaluations (of the planes and line points for k <= 4, of the patterns
+    by span modulo shards for k >= 5); workers > 1 runs shards in processes.
+    Reports are identical for every shards/workers choice.  A failed internal
+    consistency check raises InvariantError.
     """
     if k < 2:
         raise ValueError(f"set size must be >= 2, got k={k}")
@@ -417,14 +585,32 @@ def run_census(
         raise ValueError(f"classification cap must be >= 1, got {h_cap}")
     if shards < 1 or workers < 1:
         raise ValueError(f"shards and workers must be >= 1, got {shards}, {workers}")
-    require_subsets(f"census of C({q},{k}) subsets", math.comb(q, k))
-    shard_args = [(q, k, h_cap, s, shards) for s in range(shards)]
-    if workers > 1 and shards > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, shards)) as pool:
-            tallies = list(pool.map(_census_shard, shard_args))
-    else:
-        tallies = [_census_shard(a) for a in shard_args]
+    n_subsets = math.comb(q, k)
+    require_subsets(f"census of C({q},{k}) subsets", n_subsets)
+    if k > 4:
+        shard_args = [(q, k, h_cap, s, shards) for s in range(shards)]
+        return _merge_report(q, k, h_cap, _run_shards(_census_shard, shard_args, workers))
+    planes, lines, covered = _walk_planes(q, k, h_cap)
+    capped = n_subsets - covered
+    if capped < 0:
+        raise InvariantError(f"relation planes cover {covered} subsets, more than C({q},{k})")
+    shard_args = [(q, k, h_cap, planes[s::shards], lines[s::shards]) for s in range(shards)]
+    tallies = _run_shards(_plane_shard, shard_args, workers)
+    if capped:
+        tally = _ShardTally.empty(h_cap)
+        tally.subsets = tally.capped = capped
+        for i in range(h_cap):
+            tally.hist[i][multiset_count(i + 1, k)] = capped
+        tallies.append(tally)
     return _merge_report(q, k, h_cap, tallies)
+
+
+def _run_shards(shard, shard_args: list, workers: int) -> list[_ShardTally]:
+    """shard applied to each argument tuple, in worker processes if workers > 1."""
+    if workers > 1 and len(shard_args) > 1:
+        with ProcessPoolExecutor(max_workers=min(workers, len(shard_args))) as pool:
+            return list(pool.map(shard, shard_args))
+    return [shard(a) for a in shard_args]
 
 
 def _merge_report(q: int, k: int, h_cap: int, tallies: list[_ShardTally]) -> CensusReport:

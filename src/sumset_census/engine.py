@@ -25,8 +25,9 @@ through the validating public functions, which pick the representation.
 
 The relation-plane walk (_relation_planes, _plane_points) lists the gap
 patterns on which a given disjoint-support relation x . A == y . A holds;
-the lemma sweeps take their candidates from it and the pair count walks its
-one plane.
+the census and the lemma sweeps take their candidates from it and the pair
+count walks its one plane.  _relation_lines lists, for 4-sets, the lines
+where two planes meet, which hold every pattern on more than one plane.
 """
 
 from __future__ import annotations
@@ -288,6 +289,34 @@ def _relation_planes(k: int, w: int) -> tuple[tuple[int, ...], ...]:
                         r = tuple(-c for c in r)
                     planes.append(r)
     return tuple(sorted(planes))
+
+
+@lru_cache(maxsize=None)
+def _relation_lines(h_cap: int) -> tuple[tuple[int, int, int], ...]:
+    """Primitive directions 0 < u_1 < u_2 < u_3 where two planes meet, ascending.
+
+    For 4-sets the planes of degree 2..h_cap live in Z^3, and two distinct
+    ones, r . d == 0 and s . d == 0, meet in the line spanned by r x s.  So a
+    gap vector on two or more of them is t*u for one of these directions u
+    and some t >= 1, and every such t*u lies on the two planes that gave u.
+    Planes of one sign hold no gap vector and take no part.
+    """
+    planes = [
+        r
+        for w in range(2, h_cap + 1)
+        for r in _relation_planes(4, w)
+        if min(r) < 0 < max(r)
+    ]
+    lines = set()
+    for i, (a1, a2, a3) in enumerate(planes):
+        for b1, b2, b3 in planes[i + 1 :]:
+            u = (a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)
+            if u[0] < 0:
+                u = (-u[0], -u[1], -u[2])
+            if 0 < u[0] < u[1] < u[2]:
+                g = math.gcd(*u)
+                lines.add((u[0] // g, u[1] // g, u[2] // g))
+    return tuple(sorted(lines))
 
 
 def _plane_points(r: Sequence[int], q: int) -> Iterator[tuple[int, ...]]:

@@ -135,6 +135,121 @@ class TestPatternSweepAgainstPlainSweep:
         assert plain_census(14, 4, 4, shards=3) == plain_census(14, 4, 4)
 
 
+class TestPlaneCensusAgainstPlainSweep:
+    """For k <= 4 the census walks relation planes, tallies each plane's
+    one-plane points through one representative, evaluates only the line
+    points, and counts the rest as capped; the per-subset sweep is the
+    oracle for every tally and byte."""
+
+    # at (16, 4, 6) and (20, 4, 8) every subset collides, so nothing is capped
+    @pytest.mark.parametrize(
+        "q,k,h_cap,capped", [(20, 4, 8, 0), (30, 4, 6, 16), (20, 3, 6, 688), (16, 4, 6, 0)]
+    )
+    @pytest.mark.parametrize("shards", [1, 3, 8])
+    def test_report_bytes_match(self, q, k, h_cap, capped, shards):
+        reference = _plain_report(q, k, h_cap)
+        assert reference.capped == capped
+        _assert_same_report(run_census(q=q, k=k, h_cap=h_cap, shards=shards), reference)
+
+    def test_worker_processes_match(self):
+        report = run_census(q=30, k=4, h_cap=6, shards=8, workers=2)
+        _assert_same_report(report, _plain_report(30, 4, 6))
+
+    def test_k5_runs_the_pattern_pass(self, monkeypatch):
+        calls = {"pattern": 0, "plane": 0}
+
+        def counting(kind, shard):
+            def run(args):
+                calls[kind] += 1
+                return shard(args)
+
+            return run
+
+        monkeypatch.setattr(census, "_census_shard", counting("pattern", census._census_shard))
+        monkeypatch.setattr(census, "_plane_shard", counting("plane", census._plane_shard))
+        run_census(q=11, k=5, h_cap=4, shards=2)
+        assert calls == {"pattern": 2, "plane": 0}
+        run_census(q=11, k=4, h_cap=4, shards=2)
+        assert calls == {"pattern": 2, "plane": 2}
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("q,k,h_cap", [(24, 4, 5), (18, 4, 7), (40, 3, 6)])
+    def test_every_one_plane_pattern(self, q, k, h_cap):
+        # planes through each pattern by direct dot products, not by the walk
+        planes = [
+            (w, r) for w in range(2, h_cap + 1) for r in census._relation_planes(k, w)
+        ]
+        line_points = set(census._line_points(q, k, h_cap))
+        one_plane = 0
+        for d in itertools.combinations(range(1, q), k - 1):
+            degrees = [w for w, r in planes if sum(c * e for c, e in zip(r, d)) == 0]
+            assert (len(degrees) >= 2) == (d in line_points)
+            if len(degrees) == 1:
+                one_plane += 1
+                closed = census._closed_form(k, degrees[0], h_cap)
+                assert census._fold_sizes((0,) + d, h_cap) == closed
+        assert one_plane
+
+
+class TestPlaneCensusFaults:
+    """A broken plane census raises InvariantError or fails a byte test."""
+
+    @staticmethod
+    def _lines_without(monkeypatch, u):
+        real = census._relation_lines
+        assert u in real(5)
+        monkeypatch.setattr(
+            census, "_relation_lines", lambda h_cap: tuple(v for v in real(h_cap) if v != u)
+        )
+
+    def test_dropped_line_overcounts(self, monkeypatch):
+        # (1, 2, 3) would be counted on each of its planes as a one-plane point
+        self._lines_without(monkeypatch, (1, 2, 3))
+        with pytest.raises(InvariantError, match="more than C"):
+            run_census(q=12, k=4, h_cap=4)
+
+    def test_dropped_line_point_as_representative(self, monkeypatch):
+        # (1, 2, 8) would stand for every one-plane point of (2, -1, 0)
+        self._lines_without(monkeypatch, (1, 2, 8))
+        with pytest.raises(InvariantError, match="differ from its closed form"):
+            run_census(q=12, k=4, h_cap=4)
+
+    def test_dropped_line_fails_the_byte_test(self, monkeypatch):
+        self._lines_without(monkeypatch, (2, 7, 20))
+        assert run_census(q=25, k=4, h_cap=5) != _plain_report(25, 4, 5)
+
+    def test_line_point_on_one_plane(self, monkeypatch):
+        real = census._relation_lines
+        assert (1, 5, 10) not in real(4)
+        monkeypatch.setattr(census, "_relation_lines", lambda h_cap: real(h_cap) + ((1, 5, 10),))
+        with pytest.raises(InvariantError, match=r"line point \(1, 5, 10\) met on 1 relation"):
+            run_census(q=12, k=4, h_cap=4)
+
+    def test_wrong_closed_form(self, monkeypatch):
+        real = census._closed_form
+        monkeypatch.setattr(
+            census, "_closed_form", lambda k, w, h_cap: real(k, w + 1, h_cap)
+        )
+        for k in (3, 4):
+            with pytest.raises(InvariantError, match="differ from its closed form"):
+                run_census(q=14, k=k, h_cap=4)
+
+    def test_first_collision_below_the_lowest_plane(self):
+        # (1, 2, 3) lies on d_1 + d_2 = d_3, of degree 2
+        census._plane_shard((12, 4, 4, [], [((1, 2, 3), 9, 2)]))
+        with pytest.raises(InvariantError, match="lowest relation plane has degree 3"):
+            census._plane_shard((12, 4, 4, [], [((1, 2, 3), 9, 3)]))
+
+    def test_negative_remainder(self, monkeypatch):
+        real = census._plane_points
+        monkeypatch.setattr(
+            census, "_plane_points", lambda r, q: (d for d in real(r, q) for _ in range(2))
+        )
+        with pytest.raises(InvariantError, match="more than C"):
+            run_census(q=12, k=4, h_cap=4)
+
+
 class TestLadderBoundForEveryK:
     """The deficit s steps past the first collision is at least M(s-1, k),
     which is the tetrahedral number only at k = 4."""

@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,7 @@ from sumset_census import (
     profile_naive,
     sumset_sizes,
 )
-from sumset_census import engine
+from sumset_census import census, engine
 from sumset_census.engine import first_deficit
 from sumset_census.guards import (
     DEFAULT_MAX_BITMAP_BITS,
@@ -425,3 +426,35 @@ class TestRelationPlanes:
         gaps = data.draw(st.sampled_from(candidates))
         elems = (1,) + tuple(1 + d for d in gaps)
         assert len(representation_counter(elems, h + 1)) < composition_count(h + 1, k)
+
+
+def _plane_hits(q, k, h_cap):
+    """Relation planes of degree 2..h_cap through each gap vector below q,
+    counted by walking every plane."""
+    hits = Counter()
+    for w in range(2, h_cap + 1):
+        for r in engine._relation_planes(k, w):
+            hits.update(engine._plane_points(r, q))
+    return hits
+
+
+class TestRelationLines:
+    @pytest.mark.parametrize("h_cap,count", [(5, 663), (8, 8419)])
+    def test_direction_counts(self, h_cap, count):
+        lines = engine._relation_lines(h_cap)
+        assert len(lines) == len(set(lines)) == count
+        for u in lines:
+            assert 0 < u[0] < u[1] < u[2] <= h_cap * h_cap
+            assert math.gcd(*u) == 1
+
+    @pytest.mark.parametrize("q,h_cap", [(60, 5), (40, 8)])
+    def test_line_points_are_the_points_on_two_or_more_planes(self, q, h_cap):
+        on_two = {d for d, n in _plane_hits(q, 4, h_cap).items() if n >= 2}
+        points = census._line_points(q, 4, h_cap)
+        assert len(points) == len(set(points))
+        assert set(points) == on_two
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_no_lines_below_four_elements(self, k):
+        assert census._line_points(40, k, 6) == []
+        assert max(_plane_hits(40, k, 6).values(), default=1) == 1
