@@ -42,7 +42,6 @@ import itertools
 import json
 import math
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
@@ -608,6 +607,8 @@ def run_census(
 def _run_shards(shard, shard_args: list, workers: int) -> list[_ShardTally]:
     """shard applied to each argument tuple, in worker processes if workers > 1."""
     if workers > 1 and len(shard_args) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(workers, len(shard_args))) as pool:
             return list(pool.map(shard, shard_args))
     return [shard(a) for a in shard_args]

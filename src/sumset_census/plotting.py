@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from typing import Mapping, Sequence
-from xml.sax.saxutils import escape
 
 BAR_FILL = "#4878a8"
 RUNG_FILL = "#c44e52"
@@ -25,11 +24,16 @@ def _rect(x: float, y: float, w: float, h: float, fill: str, css: str) -> str:
     )
 
 
+def _escape(s: str) -> str:
+    """s with &, < and > as XML entities, & first so no entity is escaped twice."""
+    return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _text(x: float, y: float, s: str, size: int, anchor: str = "middle",
           fill: str = AXIS_COLOR, extra: str = "") -> str:
     return (
         f'<text x="{x:.1f}" y="{y:.1f}" font-size="{size}" text-anchor="{anchor}" '
-        f'fill="{fill}" font-family="sans-serif"{extra}>{escape(s)}</text>'
+        f'fill="{fill}" font-family="sans-serif"{extra}>{_escape(s)}</text>'
     )
 
 

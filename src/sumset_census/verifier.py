@@ -31,15 +31,17 @@ cancelling the common part of x and y leaves a relation of degree at most
 h + 1, and of degree exactly h + 1, since a lower one would be an earlier
 collision.  That relation is primitive: a multiple t*r' with t > 1 has t
 times the degree of r', so r' would be an earlier collision too.  So the
-pattern lies on one of the primitive planes walked.  The walk can add
-candidates but cannot drop a qualifying one, and every candidate is still
-classified through sumset_sizes and first_deficit and profiled through
-profile_naive: the walk never decides a verdict.  Where planes are dense,
-as at k = 5 at desk scale, the walk costs more than it saves, so the source
-is chosen by a cost read off (q, k, h) (PLANE_WALK_COST); the other source
-is every pattern.  ddp needs no patterns: its dot products are the sums of
-h + 1 elements of [1..q] with at most four distinct values, built by a
-four-round DP over values (_dot_products).
+pattern lies on one of the primitive planes walked, at every k.  The walk
+can add candidates but cannot drop a qualifying one, and every candidate is
+still classified through sumset_sizes and first_deficit and profiled
+through profile_naive, whose size at fold h + 1 must equal the kernel's
+(InvariantError otherwise): the walk never decides a verdict.  It is the one
+source even where planes are dense, as at k = 5 at desk scale, and it costs
+more there than a pass over every pattern would; since the argument above
+holds at every k, a second source would buy only time.  ddp needs no
+patterns: its dot products are the sums of h + 1 elements of [1..q] with at
+most four distinct values, built by a four-round DP over values
+(_dot_products).
 
 Verified statements, at desk scale:
   ortho      colliding vector pairs at the first colliding order have
@@ -60,7 +62,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .compositions import Composition, disjoint_support_pairs
 from .census import RepBoundViolation, SupportOverlapViolation, _rep_bound
@@ -73,18 +75,6 @@ from .engine import (
     sumset_sizes,
 )
 from .guards import MAX_COMPOSITIONS_ENV, InvariantError, require_subsets
-
-# Estimated share of patterns on a relation plane, planes(k, h+1) * (k-1) /
-# (q-k+1), up to which the ortho and repno sweeps classify only the walk's
-# candidates rather than every pattern.  Crossovers measured on repno sweeps
-# (CPython 3.11, x86-64), as that estimate for (k, q): (4,12) 10, (4,16) 12,
-# (4,20) 17, (4,24) 20, (4,30) 35; the walk still won at (4,40) at 19.5 and
-# at k = 3 everywhere measured (up to 10), and lost at (5,24) at 32 and at
-# (5,28) at 27.  20 sits between the k = 4 geometric mean, 17, and those
-# k = 5 losses; a sweep misjudged near a crossover costs at most about a
-# quarter more than the cheaper source.
-PLANE_WALK_COST = 20
-
 
 @dataclass(frozen=True)
 class LemmaVerdict:
@@ -166,26 +156,12 @@ class DotProductRange:
     achievable: frozenset[int]
 
 
-def _candidate_patterns(q: int, k: int, h: int) -> tuple[str, Iterable[tuple[int, ...]]]:
-    """(source, patterns): the gap patterns, as translates starting at 1 in
-    subset enumeration order, that _violations_by_set classifies.
-
-    Every pattern of B_h order exactly h lies on a relation plane of degree
-    h + 1 (see the module docstring), so where the planes are few the walk
-    over them is the source; otherwise it is every pattern.  Either way the
-    patterns are produced lazily, so choosing the source walks nothing.
-    """
-    planes = _relation_planes(k, h + 1)
-    if len(planes) * (k - 1) > PLANE_WALK_COST * (q - k + 1):
-        return "patterns", (
-            (1,) + rest for rest in itertools.combinations(range(2, q + 1), k - 1)
-        )
-    return "planes", _plane_candidates(planes, q)
-
-
-def _plane_candidates(planes, q: int) -> Iterator[tuple[int, ...]]:
+def _candidates(q: int, k: int, h: int) -> Iterator[tuple[int, ...]]:
+    """The patterns on the relation planes of degree h + 1, as translates
+    starting at 1 in subset enumeration order: every pattern of B_h order
+    exactly h is among them (see the module docstring)."""
     points: set[tuple[int, ...]] = set()
-    for r in planes:
+    for r in _relation_planes(k, h + 1):
         points.update(_plane_points(r, q))
     for point in sorted(points):
         yield (1,) + tuple(1 + d for d in point)
@@ -200,12 +176,11 @@ def _qualifying(
 ) -> Iterator[tuple[tuple[int, ...], SumsetProfile]]:
     """(pattern, profile_naive(pattern, h + 1)) for each candidate of
     (q, k, h) whose first deficit is at fold h + 1, in order: from the last
-    complete pass when its key matches, else afresh; the source and the
-    counts go into work."""
+    complete pass when its key matches, else afresh; the counts go into
+    work.  The kernel's size at fold h + 1 must equal the profile's, or
+    InvariantError is raised."""
     global _complete
-    source, candidates = _candidate_patterns(q, k, h)
-    work["source"] = source
-    key = (q, k, h, source, sumset_sizes, first_deficit, profile_naive,
+    key = (q, k, h, sumset_sizes, first_deficit, profile_naive,
            _relation_planes, _plane_points, os.environ.get(MAX_COMPOSITIONS_ENV))
     if _complete[0] == key:
         for entry in _complete[1]:
@@ -214,10 +189,17 @@ def _qualifying(
         return
     _complete = (None, [])
     entries = []
-    for pattern in candidates:
+    for pattern in _candidates(q, k, h):
         work["patterns_classified"] += 1
-        if first_deficit(pattern, sumset_sizes(pattern, h + 1)) == h + 1:
-            entry = (pattern, profile_naive(pattern, h + 1))
+        sizes = sumset_sizes(pattern, h + 1)
+        if first_deficit(pattern, sizes) == h + 1:
+            profile = profile_naive(pattern, h + 1)
+            if sizes[h] != profile.size:
+                raise InvariantError(
+                    f"kernel size {sizes[h]} != enumerated size "
+                    f"{profile.size} at fold {h + 1} of {pattern}"
+                )
+            entry = (pattern, profile)
             work["profiles"] += 1
             entries.append(entry)
             yield entry
@@ -247,7 +229,7 @@ def _violations_by_set(
     classifications and profiles, and entries reused from a complete pass.
     """
     limit = math.inf if sample is None else sample
-    work = {"patterns_classified": 0, "profiles": 0, "reused": 0, "source": None}
+    work = {"patterns_classified": 0, "profiles": 0, "reused": 0}
     instances = 0
     violations: list = []
     qualifying: list[tuple[int, ...]] = []

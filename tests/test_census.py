@@ -121,7 +121,9 @@ def _assert_same_report(report, reference):
 class TestPatternSweepAgainstPlainSweep:
     """The gap-pattern sweep must reproduce the per-subset sweep exactly."""
 
-    @pytest.mark.parametrize("q,k,h_cap", [(12, 4, 4), (25, 4, 5), (40, 4, 6), (20, 5, 4)])
+    @pytest.mark.parametrize(
+        "q,k,h_cap", [(12, 4, 4), (25, 4, 5), (40, 4, 6), (20, 5, 4), (14, 5, 2)]
+    )
     @pytest.mark.parametrize("shards", [1, 3, 7])
     def test_report_bytes_match(self, q, k, h_cap, shards):
         reference = _plain_report(q, k, h_cap)

@@ -4,6 +4,7 @@ import shutil
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -213,7 +214,7 @@ class TestVerify:
         assert result.stdout == verify_ortho(20, 2).to_json() + "\n"
         assert "work" not in result.stdout
         assert (
-            "; work: patterns_classified=437 profiles=386 reused=0 source=planes\n"
+            "; work: patterns_classified=437 profiles=386 reused=0\n"
             in result.stderr
         )
 
@@ -290,3 +291,19 @@ class TestEntryPoints:
         )
         assert result.returncode == 0
         assert "size = 10" in result.stdout
+
+    def test_import_leaves_heavy_modules_out(self):
+        # the SVG escape and the process pool are stdlib modules that pull in
+        # much of the stdlib; importing the package must not load them
+        heavy = ("xml.sax", "urllib.request", "http.client", "email",
+                 "concurrent.futures", "multiprocessing")
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            f"import sys; sys.path.insert(0, {str(src)!r}); import sumset_census; "
+            f"print(sorted(m for m in {heavy!r} if m in sys.modules))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", code], capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "[]\n"

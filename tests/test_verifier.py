@@ -284,16 +284,13 @@ class TestPatternSweepMatchesPlainSweep:
         ortho, repno = verify_ortho(q, h), verify_repno(q, 4, h)
         assert ortho.to_json() == plain_ortho(q, h).to_json()
         assert repno.to_json() == plain_repno(q, 4, h).to_json()
-        # plane estimates 3.2 .. 13.3 walk; (20, 4) at 21.2 takes every pattern
-        source = "patterns" if (q, h) == (20, 4) else "planes"
-        assert ortho.work["source"] == repno.work["source"] == source
         verdict, dot_range = verify_ddp(q, h)
         monkeypatch.setattr(verifier, "_dot_products", plain_ddp_achievable)
         plain_verdict, plain_range = verify_ddp(q, h)
         assert verdict.to_json() == plain_verdict.to_json()
         assert dot_range == plain_range
 
-    @pytest.mark.parametrize("q,k,h", [(16, 5, 2), (24, 5, 3)])
+    @pytest.mark.parametrize("q,k,h", [(16, 5, 2), (24, 5, 3), (20, 5, 2)])
     def test_five_element_repno_bytes(self, q, k, h):
         verdict = verify_repno(q, k, h)
         assert verdict.instances > 0
@@ -305,39 +302,14 @@ class TestPatternSweepMatchesPlainSweep:
         assert verdict.instances == sample
         assert verdict.to_json() == plain_ortho(q, h, sample=sample).to_json()
 
-    @pytest.mark.parametrize("cost,source", [(math.inf, "planes"), (-1, "patterns")])
-    def test_each_source_forced(self, cost, source, monkeypatch):
-        # an infinite cost forces the plane walk, a negative one every pattern
-        monkeypatch.setattr(verifier, "PLANE_WALK_COST", cost)
-        for q, h in [(16, 2), (24, 3)]:
-            verdict = verify_repno(q, 5, h)
-            assert verdict.work["source"] == source
-            assert verdict.to_json() == plain_repno(q, 5, h).to_json()
-        for q, h, sample in [(30, 2, 5), (20, 3, 40), (20, 3, 500)]:
-            verdict = verify_ortho(q, h, sample=sample)
-            assert verdict.work["source"] == source
-            assert verdict.to_json() == plain_ortho(q, h, sample=sample).to_json()
-
-    def test_walk_forced_on_at_a_pattern_pass_grid_point(self, monkeypatch):
-        monkeypatch.setattr(verifier, "PLANE_WALK_COST", math.inf)
-        assert verify_ortho(20, 4).to_json() == plain_ortho(20, 4).to_json()
-        assert verify_repno(20, 4, 4).to_json() == plain_repno(20, 4, 4).to_json()
-
     @pytest.mark.parametrize("q,h", [(7, 8), (20, 2), (30, 4)])
     def test_achievable_dot_products(self, q, h):
         assert verify_ddp(q, h)[1].achievable == plain_ddp_achievable(q, h)
 
 
 class TestCandidateSource:
-    """Which source the cost rule picks, and the work counts it reports; the
-    default grid's sources are checked with its verdict bytes."""
-
-    @pytest.mark.parametrize("q,h", [(12, 2), (16, 2), (20, 2), (24, 3)])
-    def test_five_element_points_take_every_pattern(self, q, h):
-        _evict_classification()
-        verdict = verify_repno(q, 5, h)
-        assert verdict.work["source"] == "patterns"
-        assert verdict.work["patterns_classified"] == math.comb(q - 1, 4)
+    """The candidates the relation-plane walk gives, and the work counts a
+    sweep reports."""
 
     def test_work_counts(self):
         _evict_classification()
@@ -346,11 +318,12 @@ class TestCandidateSource:
             "patterns_classified": 437,
             "profiles": 386,
             "reused": 0,
-            "source": "planes",
         }
         assert "work" not in json.loads(verdict.to_json())
         # a sample inside the first pass stops classifying there, from cold
         assert verify_ortho(30, 2, sample=5).work["profiles"] == 5
+        # k = 5 walks its dense planes too: 3,603 of the 3,876 patterns
+        assert verify_repno(20, 5, 2).work["patterns_classified"] == 3603
 
 
 def _evict_classification():
@@ -372,7 +345,6 @@ class TestSharedClassification:
             "patterns_classified": 0,
             "profiles": 0,
             "reused": 386,
-            "source": "planes",
         }
 
     @pytest.mark.parametrize("q,h", DEFAULT_GRID)
@@ -390,7 +362,7 @@ class TestSharedClassification:
         # the sampled pass stopped early, so it was stored nowhere
         repno = verify_repno(30, 4, 2)
         assert repno.work["reused"] == 0
-        _, candidates = verifier._candidate_patterns(30, 4, 2)
+        candidates = verifier._candidates(30, 4, 2)
         assert repno.work["patterns_classified"] == len(list(candidates))
         assert repno.to_json() == plain_repno(30, 4, 2).to_json()
         ortho = verify_ortho(30, 2)
@@ -453,16 +425,6 @@ class TestSharedClassification:
             verify_repno(20, 4, 2)
         monkeypatch.undo()
         assert verify_repno(20, 4, 2).to_json() == plain_repno(20, 4, 2).to_json()
-
-    @pytest.mark.parametrize("h,cost,source", [(4, math.inf, "planes"), (2, -1, "patterns")])
-    def test_forced_source_classifies_afresh(self, h, cost, source, monkeypatch):
-        # (20, 4, 4) takes every pattern by default, (20, 4, 2) the walk
-        verify_ortho(20, h)
-        monkeypatch.setattr(verifier, "PLANE_WALK_COST", cost)
-        verdict = verify_repno(20, 4, h)
-        assert verdict.work["source"] == source
-        assert verdict.work["reused"] == 0
-        assert verdict.to_json() == plain_repno(20, 4, h).to_json()
 
 
 def _assert_explicit_violations(verdict):
@@ -538,3 +500,20 @@ class TestFaultInjection:
         _assert_same_verdict(verdict, plain_ortho(20, 2))
         monkeypatch.undo()
         assert verify_ortho(20, 2).passed
+
+
+def test_kernel_and_enumerated_sizes_must_agree(monkeypatch):
+    # each qualifying pattern's fold-(h + 1) size has two routes, the kernel
+    # and profile_naive's enumeration; a disagreement is a bug, exit 4
+    real = verifier.profile_naive
+
+    def one_too_large(a, h):
+        profile = real(a, h)
+        return dataclasses.replace(profile, size=profile.size + 1)
+
+    _evict_classification()
+    monkeypatch.setattr(verifier, "profile_naive", one_too_large)
+    message = r"kernel size 17 != enumerated size 18 at fold 3 of \(1, 2, 4, 8\)"
+    with pytest.raises(InvariantError, match=message):
+        verify_ortho(20, 2)
+    assert cli.main(["verify", "ortho", "--q", "20", "--h", "2"]) == cli.EXIT_INVARIANT == 4
