@@ -20,8 +20,11 @@ sums it touches, k * sum_{i<h} M(i, k), whatever the span.
 This module is the only home of the two fold kernels, the composition
 collision scan (_collision_scan) and the first-deficit rule (first_deficit).
 The census calls the unvalidated bitmap kernel and scan directly on the gap
-patterns it generates, whose spans stay below q; every other caller goes
-through the validating public functions, which pick the representation.
+patterns it generates, whose spans stay below q.  The lemma sweeps call the
+unvalidated bodies of the public functions, _sizes (which picks the
+representation) and _profile, on the candidates they walk, having checked
+the budgets once per pass; every other caller goes through the validating
+public functions.
 
 The relation-plane walk (_relation_planes, _plane_points) lists the gap
 patterns on which a given disjoint-support relation x . A == y . A holds;
@@ -132,7 +135,7 @@ def elements_of(a: SetLike) -> tuple[int, ...]:
     return elems
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SumsetProfile:
     """Exact description of one h-fold sumset.
 
@@ -159,15 +162,20 @@ def profile_naive(a: SetLike, h: int) -> SumsetProfile:
     if h < 1:
         raise ValueError(f"fold count must be >= 1, got h={h}")
     k = len(elems)
-    m = multiset_count(h, k)
-    require_compositions(f"composition enumeration for h={h}, k={k}", m)
+    require_compositions(f"composition enumeration for h={h}, k={k}", multiset_count(h, k))
+    return _profile(elems, h)
+
+
+def _profile(elems: tuple[int, ...], h: int) -> SumsetProfile:
+    """The body of profile_naive on a sorted tuple of distinct positive
+    integers, unchecked: the caller validates and checks the budget."""
     size, groups = _collision_scan(elems, h)
-    comps = compositions_table(h, k)
+    comps = compositions_table(h, len(elems))
     collisions = tuple(
         Collision(n, tuple(comps[i] for i in idxs)) for n, idxs in sorted(groups.items())
     )
     max_reps = max((len(idxs) for idxs in groups.values()), default=1)
-    return SumsetProfile(h, size, m - size, max_reps, collisions)
+    return SumsetProfile(h, size, len(comps) - size, max_reps, collisions)
 
 
 def _collision_scan(elems: tuple[int, ...], h: int) -> tuple[int, dict[int, list[int]]]:
@@ -212,8 +220,14 @@ def sumset_sizes(a: SetLike, h: int) -> list[int]:
     elems = elements_of(a)
     if h < 1:
         raise ValueError(f"fold count must be >= 1, got h={h}")
+    require_budget("sumset bitmap", h * (elems[-1] - elems[0]) + 1, DEFAULT_MAX_BITMAP_BITS)
+    return _sizes(elems, h)
+
+
+def _sizes(elems: tuple[int, ...], h: int) -> list[int]:
+    """The body of sumset_sizes on a sorted tuple of distinct positive
+    integers, unchecked: picks the bitmap or the set fold by cost."""
     span = h * (elems[-1] - elems[0]) + 1
-    require_budget("sumset bitmap", span, DEFAULT_MAX_BITMAP_BITS)
     k = len(elems)
     # the work is at least SET_FOLD_COST * k, so most narrow sets skip the lookup
     if span > SET_FOLD_COST * k and span > _set_fold_work(k, h):

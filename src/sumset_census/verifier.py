@@ -2,9 +2,9 @@
 
 Each verifier sweeps a fully enumerable instance space and returns a
 LemmaVerdict whose violation list is empty exactly when the statement held
-everywhere.  The sweeps deliberately go through profile_naive, the exact
-composition-enumeration oracle, rather than the census fast path, so they
-double as an independent route to the same facts.
+everywhere.  The sweeps deliberately take their profiles from the exact
+composition enumeration behind profile_naive, rather than the census fast
+path, so they double as an independent route to the same facts.
 
 Translating a set by c adds c*i to every i-fold sum and leaves every
 composition alone, so ortho and repno do their expensive step once per
@@ -15,13 +15,23 @@ subsets, and when no pattern violated they only count the translates.
 Instances and violations come out in subset enumeration order, exactly as a
 plain per-subset sweep gives them.
 
-ortho and repno check the same sets, so they share one classification per
-(q, k, h): (pattern, profile) for each candidate whose first deficit is at
-fold h + 1.  A sweep that runs to its end leaves it for the next sweep with
-the same key, which still applies its own check; a sampled sweep that stops
-early leaves none, and the previous one is dropped before a new one starts.
-The key includes the engine bindings called, so a patched profile_naive,
-say, starts afresh.
+ortho and repno check the same sets, and a pattern's classification
+depends only on the pattern and h, never on q, so one pass is held per
+(k, h): (pattern, profile) for each candidate whose first deficit is at
+fold h + 1, from a walk that ran to its end at the largest q swept so far.
+The candidates at a smaller q are exactly those of the larger one with
+largest element at most q, in the same order, so a sweep at q <= q_done
+reads the held entries up to q and classifies nothing; a sweep at a larger
+q walks its candidates, takes the held entry for each the held pass
+covered, classifies only the rest and then replaces the pass.  Each sweep
+still applies its own check.  A sampled sweep that stops early stores
+nothing.  The key includes the engine bindings called and the composition
+budget, so a patched _profile, say, replaces the pass: at most one pass per
+(k, h) is ever held, 6,332 profiles for the default verify-all grid.  The
+pass calls the unchecked engine bodies _sizes and _profile, which is safe
+because every candidate is built sorted, distinct and positive, and the
+budgets are checked once per pass, for the widest window and the
+composition count at fold h + 1.
 
 The classification covers only the candidate patterns that can have B_h order
 exactly h: those on a relation plane of degree h + 1 (engine's
@@ -33,8 +43,8 @@ collision.  That relation is primitive: a multiple t*r' with t > 1 has t
 times the degree of r', so r' would be an earlier collision too.  So the
 pattern lies on one of the primitive planes walked, at every k.  The walk
 can add candidates but cannot drop a qualifying one, and every candidate is
-still classified through sumset_sizes and first_deficit and profiled
-through profile_naive, whose size at fold h + 1 must equal the kernel's
+still classified through the size kernel and first_deficit and profiled
+by composition enumeration, whose size at fold h + 1 must equal the kernel's
 (InvariantError otherwise): the walk never decides a verdict.  It is the one
 source even where planes are dense, as at k = 5 at desk scale, and it costs
 more there than a pass over every pattern would; since the argument above
@@ -56,6 +66,7 @@ Verified statements, at desk scale:
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import json
 import math
@@ -64,17 +75,25 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple
 
-from .compositions import Composition, disjoint_support_pairs
+from .compositions import Composition, disjoint_support_pairs, multiset_count
 from .census import RepBoundViolation, SupportOverlapViolation, _rep_bound
 from .engine import (
     SumsetProfile,
     _plane_points,
+    _profile,
     _relation_planes,
+    _sizes,
     first_deficit,
     profile_naive,
-    sumset_sizes,
 )
-from .guards import MAX_COMPOSITIONS_ENV, InvariantError, require_subsets
+from .guards import (
+    DEFAULT_MAX_BITMAP_BITS,
+    MAX_COMPOSITIONS_ENV,
+    InvariantError,
+    require_budget,
+    require_compositions,
+    require_subsets,
+)
 
 @dataclass(frozen=True)
 class LemmaVerdict:
@@ -159,41 +178,66 @@ class DotProductRange:
 def _candidates(q: int, k: int, h: int) -> Iterator[tuple[int, ...]]:
     """The patterns on the relation planes of degree h + 1, as translates
     starting at 1 in subset enumeration order: every pattern of B_h order
-    exactly h is among them (see the module docstring)."""
-    points: set[tuple[int, ...]] = set()
-    for r in _relation_planes(k, h + 1):
-        points.update(_plane_points(r, q))
-    for point in sorted(points):
-        yield (1,) + tuple(1 + d for d in point)
+    exactly h is among them (see the module docstring).  The planes' sorted
+    point streams are merged lazily, a point on several planes once."""
+    planes = _relation_planes(k, h + 1)
+    last = None
+    for point in heapq.merge(*(_plane_points(r, q) for r in planes)):
+        if point != last:
+            last = point
+            yield (1,) + tuple(1 + d for d in point)
 
 
-# The last classification pass that ran to its end, as (key, entries).
-_complete: tuple[tuple | None, list] = (None, [])
+# One complete classification pass per (k, h), at the largest q swept so
+# far: (k, h) -> (key, q, entries).
+_passes: dict[tuple[int, int], tuple[tuple, int, list]] = {}
 
 
 def _qualifying(
     q: int, k: int, h: int, work: dict
 ) -> Iterator[tuple[tuple[int, ...], SumsetProfile]]:
-    """(pattern, profile_naive(pattern, h + 1)) for each candidate of
-    (q, k, h) whose first deficit is at fold h + 1, in order: from the last
-    complete pass when its key matches, else afresh; the counts go into
-    work.  The kernel's size at fold h + 1 must equal the profile's, or
-    InvariantError is raised."""
-    global _complete
-    key = (q, k, h, sumset_sizes, first_deficit, profile_naive,
-           _relation_planes, _plane_points, os.environ.get(MAX_COMPOSITIONS_ENV))
-    if _complete[0] == key:
-        for entry in _complete[1]:
-            work["reused"] += 1
-            yield entry
+    """(pattern, profile at fold h + 1) for each candidate of (q, k, h)
+    whose first deficit is at fold h + 1, in order; the counts go into work.
+
+    When the pass held for (k, h) has the same key and reached q, its
+    entries with largest element at most q are read.  Otherwise the
+    candidates at q are walked: those the held pass covered take its entry
+    or, when it holds none, are skipped, and only the rest are classified.
+    A walk that runs to its end replaces the held pass.  The kernel's size
+    at fold h + 1 must equal the profile's, or InvariantError is raised."""
+    key = (_sizes, first_deficit, _profile, _relation_planes, _plane_points,
+           os.environ.get(MAX_COMPOSITIONS_ENV))
+    held_key, q_done, held = _passes.get((k, h), (None, 0, []))
+    if held_key != key:
+        _passes.pop((k, h), None)
+        q_done, held = 0, []
+    if q <= q_done:
+        for entry in held:
+            if entry[0][-1] <= q:
+                work["reused"] += 1
+                yield entry
         return
-    _complete = (None, [])
+    # the unchecked engine bodies below get their budgets checked once:
+    # every candidate lies in [1..q] and is profiled at fold h + 1
+    require_compositions(
+        f"composition enumeration for h={h + 1}, k={k}", multiset_count(h + 1, k)
+    )
+    require_budget("sumset bitmap", (h + 1) * (q - 1) + 1, DEFAULT_MAX_BITMAP_BITS)
+    stored = iter(held)
+    old = next(stored, None)
     entries = []
     for pattern in _candidates(q, k, h):
-        work["patterns_classified"] += 1
-        sizes = sumset_sizes(pattern, h + 1)
-        if first_deficit(pattern, sizes) == h + 1:
-            profile = profile_naive(pattern, h + 1)
+        if pattern[-1] <= q_done:
+            if old is None or old[0] != pattern:
+                continue  # classified in the held pass, and did not qualify
+            entry, old = old, next(stored, None)
+            work["reused"] += 1
+        else:
+            work["patterns_classified"] += 1
+            sizes = _sizes(pattern, h + 1)
+            if first_deficit(pattern, sizes) != h + 1:
+                continue
+            profile = _profile(pattern, h + 1)
             if sizes[h] != profile.size:
                 raise InvariantError(
                     f"kernel size {sizes[h]} != enumerated size "
@@ -201,9 +245,9 @@ def _qualifying(
                 )
             entry = (pattern, profile)
             work["profiles"] += 1
-            entries.append(entry)
-            yield entry
-    _complete = (key, entries)
+        entries.append(entry)
+        yield entry
+    _passes[k, h] = (key, q, entries)
 
 
 def _violations_by_set(

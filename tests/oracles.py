@@ -18,7 +18,7 @@ from collections import Counter
 from functools import cache
 import itertools
 
-from sumset_census import census, verifier
+from sumset_census import census, sumset_sizes, verifier
 from sumset_census.census import (
     DeficitLadderViolation,
     RepBoundViolation,
@@ -220,10 +220,11 @@ def plain_census(q, k, h_cap, shards=1):
 
 def _plain_sets_of_order(q, k, h):
     """(A, profile at h + 1) for every k-subset A of [1..q] of B_h order
-    exactly h, one subset at a time, through the verifier module's bindings
-    at call time, so a test that patches them there patches this sweep too."""
+    exactly h, one subset at a time, through the public sumset_sizes and the
+    verifier module's first_deficit and profile_naive at call time, so a
+    test that patches those there patches this sweep too."""
     for elems in itertools.combinations(range(1, q + 1), k):
-        sizes = verifier.sumset_sizes(elems, h + 1)
+        sizes = sumset_sizes(elems, h + 1)
         if verifier.first_deficit(elems, sizes) == h + 1:
             yield elems, verifier.profile_naive(elems, h + 1)
 

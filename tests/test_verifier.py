@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -31,6 +32,19 @@ from oracles import (
 )
 
 DEFAULT_GRID = [(q, h) for q in cli.DEFAULT_GRID_Q for h in cli.DEFAULT_GRID_H]
+
+
+@functools.cache
+def _plain_verdicts(q, h):
+    """The plain ortho and repno (k = 4) verdict lines at (q, h), computed
+    once per session; call it only with unpatched bindings."""
+    return plain_ortho(q, h).to_json(), plain_repno(q, 4, h).to_json()
+
+
+@pytest.fixture
+def cold():
+    """No classification pass held, so the next sweep starts cold."""
+    verifier._passes.clear()
 
 
 class TestPairCount:
@@ -281,9 +295,9 @@ class TestPatternSweepMatchesPlainSweep:
 
     @pytest.mark.parametrize("q,h", DEFAULT_GRID)
     def test_default_grid_verdict_bytes(self, q, h, monkeypatch):
-        ortho, repno = verify_ortho(q, h), verify_repno(q, 4, h)
-        assert ortho.to_json() == plain_ortho(q, h).to_json()
-        assert repno.to_json() == plain_repno(q, 4, h).to_json()
+        ortho, repno = _plain_verdicts(q, h)
+        assert verify_ortho(q, h).to_json() == ortho
+        assert verify_repno(q, 4, h).to_json() == repno
         verdict, dot_range = verify_ddp(q, h)
         monkeypatch.setattr(verifier, "_dot_products", plain_ddp_achievable)
         plain_verdict, plain_range = verify_ddp(q, h)
@@ -311,8 +325,7 @@ class TestCandidateSource:
     """The candidates the relation-plane walk gives, and the work counts a
     sweep reports."""
 
-    def test_work_counts(self):
-        _evict_classification()
+    def test_work_counts(self, cold):
         verdict = verify_ortho(20, 2)
         assert verdict.work == {
             "patterns_classified": 437,
@@ -320,26 +333,54 @@ class TestCandidateSource:
             "reused": 0,
         }
         assert "work" not in json.loads(verdict.to_json())
+        # a larger q takes the 386 held entries and classifies only the rest
+        assert verify_ortho(30, 2).work == {
+            "patterns_classified": 720,
+            "profiles": 692,
+            "reused": 386,
+        }
         # a sample inside the first pass stops classifying there, from cold
-        assert verify_ortho(30, 2, sample=5).work["profiles"] == 5
+        verifier._passes.clear()
+        assert verify_ortho(30, 2, sample=5).work == {
+            "patterns_classified": 12,
+            "profiles": 5,
+            "reused": 0,
+        }
         # k = 5 walks its dense planes too: 3,603 of the 3,876 patterns
         assert verify_repno(20, 5, 2).work["patterns_classified"] == 3603
 
+    def test_sampled_walk_stays_lazy(self, cold, monkeypatch):
+        # the planes' point streams are merged, not gathered and sorted, so
+        # a sample reads only as far into each plane as it needs
+        assert sum(1 for _ in verifier._candidates(40, 4, 4)) == 3329
+        real, consumed = verifier._plane_points, itertools.count()
 
-def _evict_classification():
-    # only the last complete pass is kept, so a full sweep at another point
-    # leaves the next sweep at any grid point to start cold
-    verify_ortho(12, 2)
+        def counted(r, q):
+            for point in real(r, q):
+                next(consumed)
+                yield point
+
+        monkeypatch.setattr(verifier, "_plane_points", counted)
+        assert verify_ortho(40, 4, sample=5).work["profiles"] == 5
+        assert next(consumed) < 3329
+
+    @pytest.mark.parametrize("q,k,h", [(40, 4, 4), (20, 5, 2)])
+    def test_merged_walk_is_the_sorted_union(self, q, k, h):
+        union = {
+            (1,) + tuple(1 + d for d in point)
+            for r in engine._relation_planes(k, h + 1)
+            for point in engine._plane_points(r, q)
+        }
+        assert list(verifier._candidates(q, k, h)) == sorted(union)
 
 
 class TestSharedClassification:
-    """ortho and repno share one classification per (q, k, h): a sweep that
+    """ortho and repno share one classification per (k, h): a sweep that
     ran to its end leaves it for the next one, a sampled sweep that stopped
     early leaves none, warm or cold gives the same bytes as the plain sweeps,
     and each verdict counts only its own work."""
 
-    def test_second_sweep_classifies_nothing(self):
-        _evict_classification()
+    def test_second_sweep_classifies_nothing(self, cold):
         verify_ortho(20, 2)
         assert verify_repno(20, 4, 2).work == {
             "patterns_classified": 0,
@@ -348,15 +389,13 @@ class TestSharedClassification:
         }
 
     @pytest.mark.parametrize("q,h", DEFAULT_GRID)
-    def test_repno_before_and_after_ortho(self, q, h):
-        ortho, repno = plain_ortho(q, h).to_json(), plain_repno(q, 4, h).to_json()
-        _evict_classification()
+    def test_repno_before_and_after_ortho(self, q, h, cold):
+        ortho, repno = _plain_verdicts(q, h)
         assert verify_repno(q, 4, h).to_json() == repno
         assert verify_ortho(q, h).to_json() == ortho
         assert verify_repno(q, 4, h).to_json() == repno
 
-    def test_sample_then_full_sweeps(self):
-        _evict_classification()
+    def test_sample_then_full_sweeps(self, cold):
         sampled = verify_ortho(30, 2, sample=5)
         assert sampled.to_json() == plain_ortho(30, 2, sample=5).to_json()
         # the sampled pass stopped early, so it was stored nowhere
@@ -368,16 +407,25 @@ class TestSharedClassification:
         ortho = verify_ortho(30, 2)
         assert ortho.work["patterns_classified"] == 0
         assert ortho.to_json() == plain_ortho(30, 2).to_json()
+        # a sample at a smaller q reads the pass at q = 30
+        sampled = verify_ortho(20, 2, sample=5)
+        assert sampled.work == {"patterns_classified": 0, "profiles": 0, "reused": 5}
+        assert sampled.to_json() == plain_ortho(20, 2, sample=5).to_json()
 
-    def test_sampled_sweeps_stay_lazy(self):
-        _evict_classification()
+    def test_sampled_sweeps_stay_lazy(self, cold):
         for _ in range(2):
             sampled = verify_ortho(30, 2, sample=5)
             assert (sampled.work["profiles"], sampled.work["reused"]) == (5, 0)
             assert sampled.to_json() == plain_ortho(30, 2, sample=5).to_json()
+        # over a pass held at q = 20 the sample reads it, and leaves it as it
+        # was for the full sweep that follows
+        verify_ortho(20, 2)
+        sampled = verify_ortho(30, 2, sample=5)
+        assert sampled.work == {"patterns_classified": 0, "profiles": 0, "reused": 5}
+        assert sampled.to_json() == plain_ortho(30, 2, sample=5).to_json()
+        assert verify_ortho(30, 2).work["reused"] == 386
 
     def test_full_then_sampled_sweeps(self):
-        _evict_classification()
         assert verify_ortho(20, 3).to_json() == plain_ortho(20, 3).to_json()
         for sample in (40, 500):
             verdict = verify_ortho(20, 3, sample=sample)
@@ -398,17 +446,29 @@ class TestSharedClassification:
     def test_composition_budget_on_a_warm_classification(self, monkeypatch):
         verify_ortho(20, 2)
         monkeypatch.setenv("SUMSET_MAX_COMPOSITIONS", "10")
-        with pytest.raises(BudgetExceededError):
+        # checked once per pass, against the 20 compositions of 3 into 4 parts
+        with pytest.raises(BudgetExceededError) as excinfo:
             verify_repno(20, 4, 2)
+        assert excinfo.value.required == 20
         # with the budget back the sweep classifies afresh
         monkeypatch.delenv("SUMSET_MAX_COMPOSITIONS")
         verdict = verify_repno(20, 4, 2)
         assert verdict.work["patterns_classified"] == 437
         assert verdict.to_json() == plain_repno(20, 4, 2).to_json()
 
-    def test_interrupted_classification_is_not_reused(self, monkeypatch):
-        # a failure inside profile_naive, below the bindings the
-        # classification is keyed on, leaves a candidate taken unrecorded
+    def test_bitmap_budget_on_the_widest_window(self, cold, monkeypatch):
+        # checked once per pass, before any walk: a candidate of [1..q] folds
+        # at most 3 * (q - 1) + 1 bits at h + 1 = 3
+        monkeypatch.setenv("SUMSET_MAX_SUBSETS", str(10**24))
+        q = 40_000_000
+        with pytest.raises(BudgetExceededError) as excinfo:
+            verify_repno(q, 3, 2)
+        assert excinfo.value.required == 3 * (q - 1) + 1
+
+    def test_interrupted_classification_is_not_reused(self, cold, monkeypatch):
+        # a failure inside the enumeration, below the bindings the
+        # classification is keyed on, leaves the pass it was extending from
+        # q = 16 as it was, and nothing of its own
         class Interrupted(Exception):
             pass
 
@@ -419,12 +479,62 @@ class TestSharedClassification:
                 raise Interrupted
             return real(elems, h)
 
-        _evict_classification()
+        assert verify_repno(16, 4, 2).work["profiles"] == 208
         monkeypatch.setattr(engine, "_collision_scan", interrupted)
         with pytest.raises(Interrupted):
             verify_repno(20, 4, 2)
         monkeypatch.undo()
-        assert verify_repno(20, 4, 2).to_json() == plain_repno(20, 4, 2).to_json()
+        verdict = verify_repno(20, 4, 2)
+        assert verdict.work == {"patterns_classified": 188, "profiles": 178, "reused": 208}
+        assert verdict.to_json() == plain_repno(20, 4, 2).to_json()
+
+
+class TestOnePassPerKH:
+    """A pattern's classification does not depend on q, so one pass is held
+    per (k, h), at the largest q swept: a smaller q reads it, a larger one
+    extends it, and any order of q gives the plain sweeps' bytes."""
+
+    @pytest.mark.parametrize("h", (2, 3, 4))
+    def test_any_order_of_q(self, h, cold):
+        for q in (20, 30, 40):
+            ortho, repno = _plain_verdicts(q, h)
+            assert verify_ortho(q, h).to_json() == ortho
+            assert verify_repno(q, 4, h).to_json() == repno
+        verifier._passes.clear()
+        for q in (40, 30, 20):
+            ortho, repno = _plain_verdicts(q, h)
+            verdict = verify_ortho(q, h)
+            assert verdict.to_json() == ortho
+            if q < 40:
+                assert verdict.work["patterns_classified"] == 0
+            assert verify_repno(q, 4, h).to_json() == repno
+        sampled = verify_ortho(20, h, sample=5)
+        assert sampled.work["patterns_classified"] == 0
+        assert sampled.to_json() == plain_ortho(20, h, sample=5).to_json()
+
+    def test_smaller_q_walks_nothing(self, cold, monkeypatch):
+        verify_ortho(40, 2)
+        monkeypatch.setattr(verifier, "_candidates", None)  # a walk would fail
+        for q, reused in ((40, 2188), (20, 386)):
+            assert verify_ortho(q, 2).work == {
+                "patterns_classified": 0,
+                "profiles": 0,
+                "reused": reused,
+            }
+
+    def test_patched_binding_or_budget_starts_afresh(self, cold, monkeypatch):
+        fresh_at_30 = {"patterns_classified": 1157, "profiles": 1078, "reused": 0}
+        verify_ortho(20, 2)
+        # a new binding, though it gives the same sizes, replaces the pass
+        monkeypatch.setattr(verifier, "_sizes", lambda elems, h: engine._sizes(elems, h))
+        assert verify_ortho(30, 2).work == fresh_at_30
+        monkeypatch.undo()
+        assert verify_ortho(20, 2).work["reused"] == 0
+        # so does another composition budget, though it is large enough
+        monkeypatch.setenv("SUMSET_MAX_COMPOSITIONS", "1000")
+        verdict = verify_ortho(30, 2)
+        assert verdict.work == fresh_at_30
+        assert verdict.to_json() == _plain_verdicts(30, 2)[0]
 
 
 def _assert_explicit_violations(verdict):
@@ -452,6 +562,23 @@ def _assert_same_verdict(verdict, oracle):
     assert same_bytes, "verdicts differ outside their violation lists"
 
 
+def _patch_profiles(monkeypatch, fault):
+    # every profile a sweep takes goes through one of these two bindings:
+    # the pass's _profile, and profile_naive, which re-checks translates and
+    # serves the plain sweeps
+    for name in ("_profile", "profile_naive"):
+        real = getattr(verifier, name)
+        monkeypatch.setattr(verifier, name, lambda a, h, real=real: fault(real(a, h)))
+
+
+def _first_vector_twice(profile):
+    # the first collision also lists its first vector again, which overlaps
+    # itself
+    first, *rest = profile.collisions
+    doubled = Collision(first.n, first.vectors + first.vectors[:1])
+    return dataclasses.replace(profile, collisions=(doubled, *rest))
+
+
 class TestFaultInjection:
     """Faults that make every qualifying set violate: the pattern sweep must
     then report exactly what the plain sweep reports."""
@@ -465,54 +592,38 @@ class TestFaultInjection:
         _assert_explicit_violations(verdict)
 
     def test_overlapping_vector_pair(self, monkeypatch):
-        real = verifier.profile_naive
-
-        def first_vector_twice(a, h):
-            # the first collision also lists its first vector again, which
-            # overlaps itself
-            profile = real(a, h)
-            first, *rest = profile.collisions
-            doubled = Collision(first.n, first.vectors + first.vectors[:1])
-            return dataclasses.replace(profile, collisions=(doubled, *rest))
-
-        monkeypatch.setattr(verifier, "profile_naive", first_vector_twice)
+        _patch_profiles(monkeypatch, _first_vector_twice)
         verdict = verify_ortho(20, 2)
         _assert_same_verdict(verdict, plain_ortho(20, 2))
         _assert_explicit_violations(verdict)
         _assert_same_verdict(verify_ortho(20, 3, sample=40), plain_ortho(20, 3, sample=40))
 
     def test_patch_after_a_warm_classification(self, monkeypatch):
-        # the classification at (20, 4, 2) holds real profiles; a patched
-        # profile_naive must not be answered from it, nor the patch's
-        # profiles outlive it
+        # the classification for (4, 2) holds real profiles; a patched
+        # _profile must not be answered from it, nor the patch's profiles
+        # outlive it
         assert verify_ortho(20, 2).passed
-        real = verifier.profile_naive
-
-        def first_vector_twice(a, h):
-            profile = real(a, h)
-            first, *rest = profile.collisions
-            doubled = Collision(first.n, first.vectors + first.vectors[:1])
-            return dataclasses.replace(profile, collisions=(doubled, *rest))
-
-        monkeypatch.setattr(verifier, "profile_naive", first_vector_twice)
+        _patch_profiles(monkeypatch, _first_vector_twice)
         verdict = verify_ortho(20, 2)
         assert not verdict.passed
+        assert verdict.work["reused"] == 0
         _assert_same_verdict(verdict, plain_ortho(20, 2))
         monkeypatch.undo()
-        assert verify_ortho(20, 2).passed
+        verdict = verify_ortho(20, 2)
+        assert verdict.passed
+        assert verdict.work["reused"] == 0
 
 
-def test_kernel_and_enumerated_sizes_must_agree(monkeypatch):
+def test_kernel_and_enumerated_sizes_must_agree(cold, monkeypatch):
     # each qualifying pattern's fold-(h + 1) size has two routes, the kernel
-    # and profile_naive's enumeration; a disagreement is a bug, exit 4
-    real = verifier.profile_naive
+    # and the enumeration behind its profile; a disagreement is a bug, exit 4
+    real = verifier._profile
 
-    def one_too_large(a, h):
-        profile = real(a, h)
+    def one_too_large(elems, h):
+        profile = real(elems, h)
         return dataclasses.replace(profile, size=profile.size + 1)
 
-    _evict_classification()
-    monkeypatch.setattr(verifier, "profile_naive", one_too_large)
+    monkeypatch.setattr(verifier, "_profile", one_too_large)
     message = r"kernel size 17 != enumerated size 18 at fold 3 of \(1, 2, 4, 8\)"
     with pytest.raises(InvariantError, match=message):
         verify_ortho(20, 2)
