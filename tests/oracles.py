@@ -221,12 +221,12 @@ def plain_census(q, k, h_cap, shards=1):
 def _plain_sets_of_order(q, k, h):
     """(A, profile at h + 1) for every k-subset A of [1..q] of B_h order
     exactly h, one subset at a time, through the public sumset_sizes and the
-    verifier module's first_deficit and profile_naive at call time, so a
-    test that patches those there patches this sweep too."""
+    verifier module's first_deficit and _profile at call time, so a test
+    that patches those there patches this sweep too."""
     for elems in itertools.combinations(range(1, q + 1), k):
         sizes = sumset_sizes(elems, h + 1)
         if verifier.first_deficit(elems, sizes) == h + 1:
-            yield elems, verifier.profile_naive(elems, h + 1)
+            yield elems, verifier._profile(elems, h + 1)
 
 
 def plain_ortho(q, h, sample=None):

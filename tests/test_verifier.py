@@ -349,30 +349,6 @@ class TestCandidateSource:
         # k = 5 walks its dense planes too: 3,603 of the 3,876 patterns
         assert verify_repno(20, 5, 2).work["patterns_classified"] == 3603
 
-    def test_sampled_walk_stays_lazy(self, cold, monkeypatch):
-        # the planes' point streams are merged, not gathered and sorted, so
-        # a sample reads only as far into each plane as it needs
-        assert sum(1 for _ in verifier._candidates(40, 4, 4)) == 3329
-        real, consumed = verifier._plane_points, itertools.count()
-
-        def counted(r, q):
-            for point in real(r, q):
-                next(consumed)
-                yield point
-
-        monkeypatch.setattr(verifier, "_plane_points", counted)
-        assert verify_ortho(40, 4, sample=5).work["profiles"] == 5
-        assert next(consumed) < 3329
-
-    @pytest.mark.parametrize("q,k,h", [(40, 4, 4), (20, 5, 2)])
-    def test_merged_walk_is_the_sorted_union(self, q, k, h):
-        union = {
-            (1,) + tuple(1 + d for d in point)
-            for r in engine._relation_planes(k, h + 1)
-            for point in engine._plane_points(r, q)
-        }
-        assert list(verifier._candidates(q, k, h)) == sorted(union)
-
 
 class TestSharedClassification:
     """ortho and repno share one classification per (k, h): a sweep that
@@ -425,7 +401,7 @@ class TestSharedClassification:
         assert sampled.to_json() == plain_ortho(30, 2, sample=5).to_json()
         assert verify_ortho(30, 2).work["reused"] == 386
 
-    def test_full_then_sampled_sweeps(self):
+    def test_full_then_sampled_sweeps(self, cold):
         assert verify_ortho(20, 3).to_json() == plain_ortho(20, 3).to_json()
         for sample in (40, 500):
             verdict = verify_ortho(20, 3, sample=sample)
@@ -562,18 +538,11 @@ def _assert_same_verdict(verdict, oracle):
     assert same_bytes, "verdicts differ outside their violation lists"
 
 
-def _patch_profiles(monkeypatch, fault):
-    # every profile a sweep takes goes through one of these two bindings:
-    # the pass's _profile, and profile_naive, which re-checks translates and
-    # serves the plain sweeps
-    for name in ("_profile", "profile_naive"):
-        real = getattr(verifier, name)
-        monkeypatch.setattr(verifier, name, lambda a, h, real=real: fault(real(a, h)))
-
-
-def _first_vector_twice(profile):
-    # the first collision also lists its first vector again, which overlaps
-    # itself
+def _first_vector_twice(elems, h, real=verifier._profile):
+    # the profile whose first collision also lists its first vector again,
+    # which overlaps itself; every profile a sweep or a plain sweep takes
+    # comes from verifier._profile
+    profile = real(elems, h)
     first, *rest = profile.collisions
     doubled = Collision(first.n, first.vectors + first.vectors[:1])
     return dataclasses.replace(profile, collisions=(doubled, *rest))
@@ -592,7 +561,7 @@ class TestFaultInjection:
         _assert_explicit_violations(verdict)
 
     def test_overlapping_vector_pair(self, monkeypatch):
-        _patch_profiles(monkeypatch, _first_vector_twice)
+        monkeypatch.setattr(verifier, "_profile", _first_vector_twice)
         verdict = verify_ortho(20, 2)
         _assert_same_verdict(verdict, plain_ortho(20, 2))
         _assert_explicit_violations(verdict)
@@ -603,7 +572,7 @@ class TestFaultInjection:
         # _profile must not be answered from it, nor the patch's profiles
         # outlive it
         assert verify_ortho(20, 2).passed
-        _patch_profiles(monkeypatch, _first_vector_twice)
+        monkeypatch.setattr(verifier, "_profile", _first_vector_twice)
         verdict = verify_ortho(20, 2)
         assert not verdict.passed
         assert verdict.work["reused"] == 0
