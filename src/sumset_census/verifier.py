@@ -16,23 +16,21 @@ Instances and violations come out in subset enumeration order, exactly as a
 plain per-subset sweep gives them.
 
 ortho and repno check the same sets, and a pattern's classification
-depends only on the pattern and h, never on q, so one pass is held per
-(k, h): (pattern, profile) for each candidate whose first deficit is at
-fold h + 1, from a walk that ran to its end at the largest q swept so far.
-The candidates at a smaller q are exactly those of the larger one with
-largest element at most q, in the same order, so a sweep at q <= q_done
-reads the held entries up to q and classifies nothing; a sweep at a larger
-q walks its candidates, takes the held entry for each the held pass
-covered, classifies only the rest and then replaces the pass.  Each sweep
-still applies its own check.  A sampled sweep that stops early stores
-nothing.  The key includes the engine bindings called and the composition
-budget, so a patched _profile, say, replaces the pass: at most one pass per
-(k, h) is ever held, 6,332 profiles for the default verify-all grid.  The
-pass, and the re-check of a violating pattern's translates, call the
-unchecked engine bodies _sizes and _profile, which is safe because every
-candidate and translate is built sorted, distinct and positive, and the
-budgets are checked once per pass, for the widest window and the
-composition count at fold h + 1, which a held pass was made under.
+depends only on the pattern and h, never on q or on the sweep that asks,
+so _classes keeps every classification made, per h and pattern: the
+profile at fold h + 1 when the first deficit is there, else None.  A sweep
+walks its candidates in order, reads those already classified and
+classifies only the others, storing each as it is made, so a sampled or
+interrupted sweep keeps what it finished.  Each sweep still applies its own
+check.  The default verify-all grid takes 6,332 profiles this way, and the
+last candidate walk is kept too, so repno after ortho at the same (q, h)
+walks no plane again.  The classification, and the re-check of a violating
+pattern's translates, call the unchecked engine bodies _sizes and _profile,
+which is safe because every candidate and translate is built sorted,
+distinct and positive, and the budgets are checked at the start of every
+sweep, warm or cold: the widest window and the composition count at fold
+h + 1.  Nothing else keys the memo, so code that rebinds _sizes or _profile
+clears _classes first; the tests clear it around every test.
 
 The classification covers only the candidate patterns that can have B_h order
 exactly h: those on a relation plane of degree h + 1 (engine's
@@ -67,10 +65,10 @@ Verified statements, at desk scale:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple
@@ -88,7 +86,6 @@ from .engine import (
 )
 from .guards import (
     DEFAULT_MAX_BITMAP_BITS,
-    MAX_COMPOSITIONS_ENV,
     InvariantError,
     require_budget,
     require_compositions,
@@ -175,20 +172,21 @@ class DotProductRange:
     achievable: frozenset[int]
 
 
-def _candidates(q: int, k: int, h: int) -> Iterator[tuple[int, ...]]:
+@functools.lru_cache(maxsize=1)
+def _candidates(q: int, k: int, h: int) -> tuple[tuple[int, ...], ...]:
     """The patterns on the relation planes of degree h + 1, as translates
     starting at 1 in subset enumeration order: every pattern of B_h order
-    exactly h is among them (see the module docstring)."""
+    exactly h is among them (see the module docstring).  The last walk is
+    kept, for the repno sweep that follows ortho at the same (q, k, h)."""
     points: set[tuple[int, ...]] = set()
     for r in _relation_planes(k, h + 1):
         points.update(_plane_points(r, q))
-    for point in sorted(points):
-        yield (1,) + tuple(1 + d for d in point)
+    return tuple((1,) + tuple(1 + d for d in point) for point in sorted(points))
 
 
-# One complete classification pass per (k, h), at the largest q swept so
-# far: (k, h) -> (key, q, entries).
-_passes: dict[tuple[int, int], tuple[tuple, int, list]] = {}
+# h -> pattern -> its profile at fold h + 1 when its first deficit is
+# there, else None: every classification made so far.
+_classes: dict[int, dict[tuple[int, ...], SumsetProfile | None]] = {}
 
 
 def _qualifying(
@@ -197,55 +195,36 @@ def _qualifying(
     """(pattern, profile at fold h + 1) for each candidate of (q, k, h)
     whose first deficit is at fold h + 1, in order; the counts go into work.
 
-    When the pass held for (k, h) has the same key and reached q, its
-    entries with largest element at most q are read.  Otherwise the
-    candidates at q are walked: those the held pass covered take its entry
-    or, when it holds none, are skipped, and only the rest are classified.
-    A walk that runs to its end replaces the held pass.  The kernel's size
-    at fold h + 1 must equal the profile's, or InvariantError is raised."""
-    key = (_sizes, first_deficit, _profile, _relation_planes, _plane_points,
-           os.environ.get(MAX_COMPOSITIONS_ENV))
-    held_key, q_done, held = _passes.get((k, h), (None, 0, []))
-    if held_key != key:
-        _passes.pop((k, h), None)
-        q_done, held = 0, []
-    if q <= q_done:
-        for entry in held:
-            if entry[0][-1] <= q:
-                work["reused"] += 1
-                yield entry
-        return
-    # the unchecked engine bodies below get their budgets checked once:
-    # every candidate lies in [1..q] and is profiled at fold h + 1
+    A candidate already in _classes[h] is read from it; the others are
+    classified and stored as they are met.  The kernel's size at fold
+    h + 1 must equal the profile's, or InvariantError is raised."""
+    # the unchecked engine bodies below get their budgets checked on every
+    # sweep: every candidate lies in [1..q] and is profiled at fold h + 1
     require_compositions(
         f"composition enumeration for h={h + 1}, k={k}", multiset_count(h + 1, k)
     )
     require_budget("sumset bitmap", (h + 1) * (q - 1) + 1, DEFAULT_MAX_BITMAP_BITS)
-    stored = iter(held)
-    old = next(stored, None)
-    entries = []
+    classes = _classes.setdefault(h, {})
     for pattern in _candidates(q, k, h):
-        if pattern[-1] <= q_done:
-            if old is None or old[0] != pattern:
-                continue  # classified in the held pass, and did not qualify
-            entry, old = old, next(stored, None)
-            work["reused"] += 1
+        if pattern in classes:
+            profile = classes[pattern]
+            if profile is not None:
+                work["reused"] += 1
         else:
             work["patterns_classified"] += 1
             sizes = _sizes(pattern, h + 1)
-            if first_deficit(pattern, sizes) != h + 1:
-                continue
-            profile = _profile(pattern, h + 1)
-            if sizes[h] != profile.size:
-                raise InvariantError(
-                    f"kernel size {sizes[h]} != enumerated size "
-                    f"{profile.size} at fold {h + 1} of {pattern}"
-                )
-            entry = (pattern, profile)
-            work["profiles"] += 1
-        entries.append(entry)
-        yield entry
-    _passes[k, h] = (key, q, entries)
+            profile = None
+            if first_deficit(pattern, sizes) == h + 1:
+                profile = _profile(pattern, h + 1)
+                if sizes[h] != profile.size:
+                    raise InvariantError(
+                        f"kernel size {sizes[h]} != enumerated size "
+                        f"{profile.size} at fold {h + 1} of {pattern}"
+                    )
+                work["profiles"] += 1
+            classes[pattern] = profile
+        if profile is not None:
+            yield pattern, profile
 
 
 def _violations_by_set(
@@ -268,7 +247,7 @@ def _violations_by_set(
     they are only counted; otherwise a later pass walks the qualifying
     patterns again and re-checks a translate on its own elements only when
     its pattern violated.  work counts what this call did: new
-    classifications and profiles, and entries reused from a complete pass.
+    classifications and profiles, and qualifying classifications reused.
     """
     limit = math.inf if sample is None else sample
     work = {"patterns_classified": 0, "profiles": 0, "reused": 0}

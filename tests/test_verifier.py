@@ -41,12 +41,6 @@ def _plain_verdicts(q, h):
     return plain_ortho(q, h).to_json(), plain_repno(q, 4, h).to_json()
 
 
-@pytest.fixture
-def cold():
-    """No classification pass held, so the next sweep starts cold."""
-    verifier._passes.clear()
-
-
 class TestPairCount:
     def test_closed_forms_hold_through_twelve(self):
         verdict = verify_paircount(12)
@@ -325,7 +319,7 @@ class TestCandidateSource:
     """The candidates the relation-plane walk gives, and the work counts a
     sweep reports."""
 
-    def test_work_counts(self, cold):
+    def test_work_counts(self):
         verdict = verify_ortho(20, 2)
         assert verdict.work == {
             "patterns_classified": 437,
@@ -333,14 +327,15 @@ class TestCandidateSource:
             "reused": 0,
         }
         assert "work" not in json.loads(verdict.to_json())
-        # a larger q takes the 386 held entries and classifies only the rest
+        # a larger q reads the 386 qualifying classifications of q = 20 and
+        # classifies only the rest
         assert verify_ortho(30, 2).work == {
             "patterns_classified": 720,
             "profiles": 692,
             "reused": 386,
         }
-        # a sample inside the first pass stops classifying there, from cold
-        verifier._passes.clear()
+        # a sample stops classifying at its last instance, from cold
+        verifier._classes.clear()
         assert verify_ortho(30, 2, sample=5).work == {
             "patterns_classified": 12,
             "profiles": 5,
@@ -351,12 +346,12 @@ class TestCandidateSource:
 
 
 class TestSharedClassification:
-    """ortho and repno share one classification per (k, h): a sweep that
-    ran to its end leaves it for the next one, a sampled sweep that stopped
-    early leaves none, warm or cold gives the same bytes as the plain sweeps,
-    and each verdict counts only its own work."""
+    """ortho and repno share the classifications in verifier._classes: every
+    sweep, sampled or not, leaves what it classified for the next one, warm
+    or cold gives the same bytes as the plain sweeps, and each verdict
+    counts only its own work."""
 
-    def test_second_sweep_classifies_nothing(self, cold):
+    def test_second_sweep_classifies_nothing(self):
         verify_ortho(20, 2)
         assert verify_repno(20, 4, 2).work == {
             "patterns_classified": 0,
@@ -365,43 +360,47 @@ class TestSharedClassification:
         }
 
     @pytest.mark.parametrize("q,h", DEFAULT_GRID)
-    def test_repno_before_and_after_ortho(self, q, h, cold):
+    def test_repno_before_and_after_ortho(self, q, h):
         ortho, repno = _plain_verdicts(q, h)
         assert verify_repno(q, 4, h).to_json() == repno
         assert verify_ortho(q, h).to_json() == ortho
         assert verify_repno(q, 4, h).to_json() == repno
 
-    def test_sample_then_full_sweeps(self, cold):
+    def test_sample_then_full_sweeps(self):
         sampled = verify_ortho(30, 2, sample=5)
+        assert sampled.work == {"patterns_classified": 12, "profiles": 5, "reused": 0}
         assert sampled.to_json() == plain_ortho(30, 2, sample=5).to_json()
-        # the sampled pass stopped early, so it was stored nowhere
-        repno = verify_repno(30, 4, 2)
-        assert repno.work["reused"] == 0
-        candidates = verifier._candidates(30, 4, 2)
-        assert repno.work["patterns_classified"] == len(list(candidates))
-        assert repno.to_json() == plain_repno(30, 4, 2).to_json()
+        # the sample kept its 12 classifications; the full sweep makes the rest
         ortho = verify_ortho(30, 2)
-        assert ortho.work["patterns_classified"] == 0
+        assert ortho.work == {"patterns_classified": 1145, "profiles": 1073, "reused": 5}
         assert ortho.to_json() == plain_ortho(30, 2).to_json()
-        # a sample at a smaller q reads the pass at q = 30
+        repno = verify_repno(30, 4, 2)
+        assert repno.work == {"patterns_classified": 0, "profiles": 0, "reused": 1078}
+        assert repno.to_json() == plain_repno(30, 4, 2).to_json()
+        # a sample at a smaller q reads the classifications made at q = 30
         sampled = verify_ortho(20, 2, sample=5)
         assert sampled.work == {"patterns_classified": 0, "profiles": 0, "reused": 5}
         assert sampled.to_json() == plain_ortho(20, 2, sample=5).to_json()
 
-    def test_sampled_sweeps_stay_lazy(self, cold):
-        for _ in range(2):
+    def test_sampled_sweeps_stay_lazy(self):
+        # a sample classifies only as far as its last instance, and keeps it
+        for classified, profiles, reused in ((12, 5, 0), (0, 0, 5)):
             sampled = verify_ortho(30, 2, sample=5)
-            assert (sampled.work["profiles"], sampled.work["reused"]) == (5, 0)
+            assert sampled.work == {
+                "patterns_classified": classified,
+                "profiles": profiles,
+                "reused": reused,
+            }
             assert sampled.to_json() == plain_ortho(30, 2, sample=5).to_json()
-        # over a pass held at q = 20 the sample reads it, and leaves it as it
-        # was for the full sweep that follows
+        # after a full sweep at q = 20 the sample reads its classifications,
+        # and the full sweep at q = 30 reads all 386 qualifying ones
         verify_ortho(20, 2)
         sampled = verify_ortho(30, 2, sample=5)
         assert sampled.work == {"patterns_classified": 0, "profiles": 0, "reused": 5}
         assert sampled.to_json() == plain_ortho(30, 2, sample=5).to_json()
         assert verify_ortho(30, 2).work["reused"] == 386
 
-    def test_full_then_sampled_sweeps(self, cold):
+    def test_full_then_sampled_sweeps(self):
         assert verify_ortho(20, 3).to_json() == plain_ortho(20, 3).to_json()
         for sample in (40, 500):
             verdict = verify_ortho(20, 3, sample=sample)
@@ -422,18 +421,19 @@ class TestSharedClassification:
     def test_composition_budget_on_a_warm_classification(self, monkeypatch):
         verify_ortho(20, 2)
         monkeypatch.setenv("SUMSET_MAX_COMPOSITIONS", "10")
-        # checked once per pass, against the 20 compositions of 3 into 4 parts
+        # checked on every sweep, warm or cold, against the 20 compositions
+        # of 3 into 4 parts
         with pytest.raises(BudgetExceededError) as excinfo:
             verify_repno(20, 4, 2)
         assert excinfo.value.required == 20
-        # with the budget back the sweep classifies afresh
+        # with the budget back the sweep reads every classification
         monkeypatch.delenv("SUMSET_MAX_COMPOSITIONS")
         verdict = verify_repno(20, 4, 2)
-        assert verdict.work["patterns_classified"] == 437
+        assert verdict.work == {"patterns_classified": 0, "profiles": 0, "reused": 386}
         assert verdict.to_json() == plain_repno(20, 4, 2).to_json()
 
-    def test_bitmap_budget_on_the_widest_window(self, cold, monkeypatch):
-        # checked once per pass, before any walk: a candidate of [1..q] folds
+    def test_bitmap_budget_on_the_widest_window(self, monkeypatch):
+        # checked on every sweep, before any walk: a candidate of [1..q] folds
         # at most 3 * (q - 1) + 1 bits at h + 1 = 3
         monkeypatch.setenv("SUMSET_MAX_SUBSETS", str(10**24))
         q = 40_000_000
@@ -441,10 +441,10 @@ class TestSharedClassification:
             verify_repno(q, 3, 2)
         assert excinfo.value.required == 3 * (q - 1) + 1
 
-    def test_interrupted_classification_is_not_reused(self, cold, monkeypatch):
-        # a failure inside the enumeration, below the bindings the
-        # classification is keyed on, leaves the pass it was extending from
-        # q = 16 as it was, and nothing of its own
+    def test_interrupted_classification_is_not_reused(self, monkeypatch):
+        # a failure inside the enumeration stores nothing for the pattern it
+        # interrupted; the next sweep reads what was classified before it,
+        # at q = 16 and at q = 20, and classifies the rest
         class Interrupted(Exception):
             pass
 
@@ -461,22 +461,23 @@ class TestSharedClassification:
             verify_repno(20, 4, 2)
         monkeypatch.undo()
         verdict = verify_repno(20, 4, 2)
-        assert verdict.work == {"patterns_classified": 188, "profiles": 178, "reused": 208}
+        # ten profiles finished before the eleventh scan was interrupted
+        assert verdict.work == {"patterns_classified": 178, "profiles": 168, "reused": 218}
         assert verdict.to_json() == plain_repno(20, 4, 2).to_json()
 
 
 class TestOnePassPerKH:
-    """A pattern's classification does not depend on q, so one pass is held
-    per (k, h), at the largest q swept: a smaller q reads it, a larger one
-    extends it, and any order of q gives the plain sweeps' bytes."""
+    """A pattern's classification does not depend on q, so each is made once
+    per h: a sweep reads those an earlier q made, and any order of q gives
+    the plain sweeps' bytes."""
 
     @pytest.mark.parametrize("h", (2, 3, 4))
-    def test_any_order_of_q(self, h, cold):
+    def test_any_order_of_q(self, h):
         for q in (20, 30, 40):
             ortho, repno = _plain_verdicts(q, h)
             assert verify_ortho(q, h).to_json() == ortho
             assert verify_repno(q, 4, h).to_json() == repno
-        verifier._passes.clear()
+        verifier._classes.clear()
         for q in (40, 30, 20):
             ortho, repno = _plain_verdicts(q, h)
             verdict = verify_ortho(q, h)
@@ -487,30 +488,6 @@ class TestOnePassPerKH:
         sampled = verify_ortho(20, h, sample=5)
         assert sampled.work["patterns_classified"] == 0
         assert sampled.to_json() == plain_ortho(20, h, sample=5).to_json()
-
-    def test_smaller_q_walks_nothing(self, cold, monkeypatch):
-        verify_ortho(40, 2)
-        monkeypatch.setattr(verifier, "_candidates", None)  # a walk would fail
-        for q, reused in ((40, 2188), (20, 386)):
-            assert verify_ortho(q, 2).work == {
-                "patterns_classified": 0,
-                "profiles": 0,
-                "reused": reused,
-            }
-
-    def test_patched_binding_or_budget_starts_afresh(self, cold, monkeypatch):
-        fresh_at_30 = {"patterns_classified": 1157, "profiles": 1078, "reused": 0}
-        verify_ortho(20, 2)
-        # a new binding, though it gives the same sizes, replaces the pass
-        monkeypatch.setattr(verifier, "_sizes", lambda elems, h: engine._sizes(elems, h))
-        assert verify_ortho(30, 2).work == fresh_at_30
-        monkeypatch.undo()
-        assert verify_ortho(20, 2).work["reused"] == 0
-        # so does another composition budget, though it is large enough
-        monkeypatch.setenv("SUMSET_MAX_COMPOSITIONS", "1000")
-        verdict = verify_ortho(30, 2)
-        assert verdict.work == fresh_at_30
-        assert verdict.to_json() == _plain_verdicts(30, 2)[0]
 
 
 def _assert_explicit_violations(verdict):
@@ -568,22 +545,24 @@ class TestFaultInjection:
         _assert_same_verdict(verify_ortho(20, 3, sample=40), plain_ortho(20, 3, sample=40))
 
     def test_patch_after_a_warm_classification(self, monkeypatch):
-        # the classification for (4, 2) holds real profiles; a patched
-        # _profile must not be answered from it, nor the patch's profiles
-        # outlive it
+        # the memo holds real profiles for h = 2 and is keyed on nothing but
+        # the pattern, so a patch of _profile clears it on the way in, and
+        # again on the way out so the patch's profiles do not outlive it
         assert verify_ortho(20, 2).passed
+        verifier._classes.clear()
         monkeypatch.setattr(verifier, "_profile", _first_vector_twice)
         verdict = verify_ortho(20, 2)
         assert not verdict.passed
         assert verdict.work["reused"] == 0
         _assert_same_verdict(verdict, plain_ortho(20, 2))
         monkeypatch.undo()
+        verifier._classes.clear()
         verdict = verify_ortho(20, 2)
         assert verdict.passed
         assert verdict.work["reused"] == 0
 
 
-def test_kernel_and_enumerated_sizes_must_agree(cold, monkeypatch):
+def test_kernel_and_enumerated_sizes_must_agree(monkeypatch):
     # each qualifying pattern's fold-(h + 1) size has two routes, the kernel
     # and the enumeration behind its profile; a disagreement is a bug, exit 4
     real = verifier._profile
