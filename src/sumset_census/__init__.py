@@ -6,11 +6,9 @@ from .compositions import (
     Composition,
     PairCensus,
     disjoint_support_pairs,
-    dot,
     enumerate_compositions,
     figurate_gap,
     multiset_count,
-    support,
     tetrahedral,
 )
 from .census import (
@@ -24,11 +22,9 @@ from .census import (
 from .engine import (
     BhClassification,
     Collision,
-    GapBoundRecord,
     SetVector,
     SumsetProfile,
     classify,
-    gap_bound_check,
     profile_fast,
     profile_naive,
     sumset_sizes,
@@ -42,7 +38,7 @@ from .family import (
     member_record,
     verify_member,
 )
-from .guards import BudgetExceededError, InvariantError, LemmaViolationError
+from .guards import BudgetExceededError, InvariantError
 from .plotting import histogram_svg
 from .verifier import (
     DotProductRange,
@@ -64,11 +60,9 @@ __all__ = [
     "Composition",
     "DotProductRange",
     "FamilyParams",
-    "GapBoundRecord",
     "GapReport",
     "InvariantError",
     "LemmaVerdict",
-    "LemmaViolationError",
     "MemberVerification",
     "PairCensus",
     "SetVector",
@@ -78,11 +72,9 @@ __all__ = [
     "count_pair_solutions",
     "detect_gaps",
     "disjoint_support_pairs",
-    "dot",
     "enumerate_compositions",
     "family_size",
     "figurate_gap",
-    "gap_bound_check",
     "generate_family",
     "histogram_svg",
     "member_at",
@@ -93,7 +85,6 @@ __all__ = [
     "realize_total",
     "run_census",
     "sumset_sizes",
-    "support",
     "tetrahedral",
     "verify_ddp",
     "verify_member",

@@ -27,7 +27,7 @@ from .family import (
     member_steps,
     verify_member,
 )
-from .guards import BudgetExceededError, InvariantError, LemmaViolationError
+from .guards import BudgetExceededError, InvariantError
 from .plotting import histogram_svg
 from .verifier import verify_ddp, verify_ortho, verify_paircount, verify_repno
 
@@ -294,9 +294,6 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except LemmaViolationError as exc:
-        print(f"violation: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION
     except InvariantError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return EXIT_INVARIANT

@@ -15,7 +15,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .guards import require_compositions
 
@@ -87,19 +87,6 @@ def compositions_table(h: int, k: int) -> tuple[Composition, ...]:
 def _support_mask(x: Composition) -> int:
     """Bitmask of the slots x occupies: bit i is set when x_i > 0."""
     return sum(1 << i for i, v in enumerate(x) if v)
-
-
-def support(x: Iterable[int]) -> frozenset[int]:
-    """1-based index set of the positive entries of a vector.
-
-    support((2, 0, 0, 1)) == {1, 4}.
-    """
-    return frozenset(i for i, v in enumerate(x, start=1) if v > 0)
-
-
-def dot(x: Iterable[int], y: Iterable[int]) -> int:
-    """Integer dot product of two equal-length vectors."""
-    return sum(a * b for a, b in zip(x, y, strict=True))
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,8 @@ The census calls the unvalidated bitmap kernel and scan directly on the gap
 patterns it generates, whose spans stay below q.  The lemma sweeps call the
 unvalidated bodies of the public functions, _sizes (which picks the
 representation) and _profile, on the candidates they walk, having checked
-the budgets once per pass; every other caller goes through the validating
-public functions.
+the budgets at the start of every sweep; every other caller goes through the
+validating public functions.
 
 The relation-plane walk (_relation_planes, _plane_points) lists the gap
 patterns on which a given disjoint-support relation x . A == y . A holds;
@@ -46,13 +46,11 @@ from .compositions import (
     Composition,
     _support_mask,
     compositions_table,
-    figurate_gap,
     multiset_count,
 )
 from .guards import (
     DEFAULT_MAX_BITMAP_BITS,
     InvariantError,
-    LemmaViolationError,
     require_budget,
     require_compositions,
 )
@@ -103,10 +101,6 @@ class SetVector:
         """Build from unordered values; repeats are rejected, q defaults to max."""
         elems = tuple(sorted(values))
         return cls(elems, q if q is not None else (elems[-1] if elems else 0))
-
-    @property
-    def k(self) -> int:
-        return len(self.elements)
 
 
 SetLike = Union[SetVector, Sequence[int]]
@@ -445,48 +439,3 @@ def classify(a: SetLike, h_cap: int = DEFAULT_H_CAP) -> BhClassification:
         witness = profile_naive(elems, first).collisions[0]
         return BhClassification(first - 1, False, witness)
     return BhClassification(h_cap, True, None)
-
-
-class GapBoundRecord(NamedTuple):
-    """Deficit of (h_star+step)A against its figurate lower bound."""
-
-    step: int
-    deficit: int
-    bound: int
-    tight: bool
-
-
-def gap_bound_check(a: SetLike, h_star: int, max_step: int) -> list[GapBoundRecord]:
-    """Check the deficit ladder below a first collision at order h_star + 1.
-
-    For a k-element set whose B_h order is exactly h_star, the sumset at
-    order h_star + step must lose at least figurate_gap(h_star, step, k) =
-    M(step - 1, k) elements, because the first collision fans out through
-    every extension by step - 1 more summands.  Records report the exact
-    deficit, the bound, and whether they agree (tight means the first
-    collision explains every lost element).
-
-    Raises ValueError when A's actual order is not h_star, and
-    LemmaViolationError if any deficit falls short of its bound.
-    """
-    elems = elements_of(a)
-    k = len(elems)
-    if h_star < 1 or max_step < 1:
-        raise ValueError(f"need h_star >= 1 and max_step >= 1, got {h_star}, {max_step}")
-    sizes = sumset_sizes(elems, h_star + max_step)
-    first = first_deficit(elems, sizes)
-    if first and first <= h_star:
-        raise ValueError(f"{elems} already collides at fold {first}, so h_star != {h_star}")
-    if first != h_star + 1:
-        raise ValueError(f"{elems} is still collision-free at fold {h_star + 1}")
-    records = []
-    for step in range(1, max_step + 1):
-        deficit = multiset_count(h_star + step, k) - sizes[h_star + step - 1]
-        bound = figurate_gap(h_star, step, k)
-        if deficit < bound:
-            raise LemmaViolationError(
-                f"deficit {deficit} at fold {h_star + step} of {elems} is below "
-                f"the figurate bound {bound}"
-            )
-        records.append(GapBoundRecord(step, deficit, bound, deficit == bound))
-    return records

@@ -39,14 +39,6 @@ class BudgetExceededError(RuntimeError):
         )
 
 
-class LemmaViolationError(RuntimeError):
-    """Raised when a machine check contradicts a proved statement.
-
-    Reaching this error means either an implementation bug or a genuine
-    counterexample; both deserve a crash, not a log line.
-    """
-
-
 class InvariantError(RuntimeError):
     """Raised when an internal consistency check of a computation fails.
 

@@ -3,12 +3,14 @@ import os
 import shutil
 import subprocess
 import sys
+import types
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
 
-from sumset_census import verify_ortho
+import sumset_census
+from sumset_census import census, cli, family, run_census, verify_ortho
 
 CLI = [sys.executable, "-m", "sumset_census"]
 
@@ -244,6 +246,41 @@ class TestVerify:
         assert all(p["passed"] for p in lines)
 
 
+class TestViolationsExit1:
+    """Exit 1 comes from counted violations; the output is still written."""
+
+    @pytest.fixture
+    def raised_ladder_bound(self, monkeypatch):
+        real = census.figurate_gap
+        monkeypatch.setattr(census, "figurate_gap", lambda h, step, k: real(h, step, k) + 1)
+
+    def test_census(self, raised_ladder_bound, capsys):
+        violations = run_census(q=14, k=4, h_cap=4).violation_count
+        assert violations
+        assert cli.main(["census", "--q", "14", "--h-cap", "4"]) == cli.EXIT_VIOLATION == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["q"] == 14
+        assert f" {violations} violations" in captured.err
+
+    def test_gaps(self, raised_ladder_bound, capsys, tmp_path):
+        out = tmp_path / "gaps_out"
+        argv = ["gaps", "--q", "14", "--h", "4", "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_VIOLATION
+        assert json.loads(capsys.readouterr().out)["h"] == 4
+        assert (out / "gaps.json").exists()
+
+    def test_family(self, monkeypatch, capsys):
+        real = family.tetrahedral
+        monkeypatch.setattr(family, "tetrahedral", lambda n: real(n) + 1)
+        argv = ["family", "--h", "2", "--q", "8000", "--limit", "3"]
+        assert cli.main(argv) == cli.EXIT_VIOLATION
+        captured = capsys.readouterr()
+        members = [json.loads(line) for line in captured.out.splitlines()[1:]]
+        failed = sum(not all(rec["checks"].values()) for rec in members)
+        assert failed == len(members) == 3
+        assert f"{failed} failed verification" in captured.err
+
+
 class TestPairs:
     def test_counts_worked_pair(self):
         result = run_cli("pairs", "--x", "2,0,0,1", "--y", "0,2,1,0", "--q", "12")
@@ -291,6 +328,17 @@ class TestEntryPoints:
         )
         assert result.returncode == 0
         assert "size = 10" in result.stdout
+
+    def test_all_lists_every_public_name(self):
+        names = sumset_census.__all__
+        assert len(names) == len(set(names))
+        assert all(hasattr(sumset_census, name) for name in names)
+        public = {
+            name
+            for name, value in vars(sumset_census).items()
+            if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        }
+        assert public == set(names)
 
     def test_import_leaves_heavy_modules_out(self):
         # the SVG escape and the process pool are stdlib modules that pull in

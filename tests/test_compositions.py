@@ -7,14 +7,11 @@ from hypothesis import strategies as st
 from sumset_census import (
     BudgetExceededError,
     disjoint_support_pairs,
-    dot,
     enumerate_compositions,
     figurate_gap,
     multiset_count,
-    support,
     tetrahedral,
 )
-from sumset_census.compositions import compositions_table
 
 from oracles import composition_count, disjoint_pair_scan
 
@@ -89,19 +86,6 @@ def test_enumerate_compositions_contract(h, k):
     assert all(len(x) == k and sum(x) == h and min(x) >= 0 for x in comps)
 
 
-def test_support_positions_are_one_based():
-    assert support((2, 0, 0, 1)) == {1, 4}
-    assert support((0, 3, 0, 0)) == {2}
-    assert support((0, 0, 0, 0)) == frozenset()
-
-
-def test_dot_product():
-    assert dot((2, 0, 0, 1), (1, 2, 8, 10)) == 12
-    assert dot((0, 2, 1, 0), (1, 2, 8, 10)) == 12
-    with pytest.raises(ValueError):
-        dot((1, 2), (1, 2, 3))
-
-
 @pytest.mark.parametrize("h,total,nontrivial", [(1, 6, 0), (2, 21, 15), (3, 46, 40), (4, 81, 75)])
 def test_disjoint_support_pairs_small(h, total, nontrivial):
     census = disjoint_support_pairs(h, 4)
@@ -128,15 +112,6 @@ def test_disjoint_support_pairs_match_pairwise_scan(h, k):
 def test_disjoint_pairs_drop_exactly_both_singleton_pairs(h, k):
     census = disjoint_support_pairs(h, k)
     assert census.total_disjoint_pairs - census.nontrivial_pairs == math.comb(k, 2)
-
-
-@given(st.integers(1, 6), st.integers(2, 5), st.data())
-@settings(max_examples=60)
-def test_zero_dot_and_disjoint_support_agree(h, k, data):
-    comps = compositions_table(h, k)
-    x = data.draw(st.sampled_from(comps))
-    y = data.draw(st.sampled_from(comps))
-    assert (dot(x, y) == 0) == support(x).isdisjoint(support(y))
 
 
 def test_disjoint_support_pairs_budget_guard(monkeypatch):
