@@ -295,27 +295,69 @@ class TestFirstDeficit:
         assert first_deficit(elems, sumset_sizes(elems, h)) == (0 if capped else h_star + 1)
 
 
-class TestDeficitLadder:
+def _ladder(elems, h_star, max_step):
+    """(step, deficit, bound, tight) for folds h_star + 1 .. h_star + max_step,
+    after checking that h_star is the order sumset_sizes and first_deficit read."""
+    k = len(elems)
+    sizes = sumset_sizes(elems, h_star + max_step)
+    assert first_deficit(elems, sizes) == h_star + 1
+    rows = []
+    for step in range(1, max_step + 1):
+        fold = h_star + step
+        deficit = multiset_count(fold, k) - sizes[fold - 1]
+        bound = figurate_gap(h_star, step, k)
+        rows.append((step, deficit, bound, deficit == bound))
+    return rows
+
+
+class TestGapBoundCheck:
     """s steps past the first collision, a k-set loses at least M(s - 1, k)
-    sums; checked on random sets beyond the census sweeps."""
+    sums; checked on worked examples and on random sets beyond the census
+    sweeps."""
+
+    def test_worked_example(self):
+        assert _ladder((1, 2, 8, 10), 2, 3) == [
+            (1, 1, 1, True),
+            (2, 5, 4, False),
+            (3, 15, 10, False),
+        ]
+
+    def test_family_member_is_tight_at_step_one(self):
+        assert _ladder((1, 6, 16, 7921), 2, 1) == [(1, 1, 1, True)]
+
+    def test_three_elements_read_the_k3_ladder(self):
+        # |iA| = 2i + 1 for the progression, so every deficit equals M(s-1, 3)
+        assert _ladder((1, 2, 3), 1, 4) == [
+            (s, figurate_gap(1, s, 3), figurate_gap(1, s, 3), True) for s in range(1, 5)
+        ]
 
     @given(
-        st.sampled_from([3, 4, 5]).flatmap(lambda k: small_sets(min_k=k, max_k=k, max_q=50)),
+        st.sampled_from([3, 5]).flatmap(lambda k: small_sets(min_k=k, max_k=k, max_q=50)),
         st.integers(1, 3),
     )
     @settings(max_examples=100, deadline=None)
-    def test_against_order_oracle(self, elems, max_step):
+    def test_any_k_against_order_oracle(self, elems, max_step):
         k = len(elems)
         h_star, capped = order_of(elems, 5)
         if capped:
             return
-        sizes = sumset_sizes(elems, h_star + max_step)
-        assert first_deficit(elems, sizes) == h_star + 1
-        for step in range(1, max_step + 1):
+        rows = _ladder(elems, h_star, max_step)
+        assert [row[0] for row in rows] == list(range(1, max_step + 1))
+        for step, deficit, bound, _ in rows:
             fold = h_star + step
-            deficit = multiset_count(fold, k) - sizes[fold - 1]
             assert deficit == composition_count(fold, k) - len(representation_counter(elems, fold))
-            assert deficit >= figurate_gap(h_star, step, k)
+            assert deficit >= bound
+
+    @given(small_sets(min_k=4, max_k=4, max_q=60), st.integers(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_never_violates_on_true_order(self, elems, max_step):
+        result = classify(elems, 6)
+        if result.capped or result.h_star > 4:
+            return
+        for step, deficit, bound, _ in _ladder(elems, result.h_star, max_step):
+            fold = result.h_star + step
+            assert deficit == composition_count(fold, 4) - len(representation_counter(elems, fold))
+            assert deficit >= bound, f"figurate bound failed for {elems} at step {step}"
 
 
 @functools.cache
