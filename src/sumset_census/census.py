@@ -11,23 +11,26 @@ violations are accumulated exactly.
 Every tallied figure depends on a subset only through its gap pattern up to
 reflection.  A subset collides by fold h_cap exactly when its pattern lies on
 a primitive relation plane of degree at most h_cap (engine._relation_planes),
-so for k <= 4 the census walks those planes once (_walk_planes).  A pattern
-on one plane only, of degree w, has |iA| = M(i, k) - M(i - w, k) at every
-fold: each plane is evaluated once, on one representative, for all the
-subsets of its one-plane patterns, and the representative must match that
-closed form.  At k = 4 the patterns on two or more planes are the points of
-the lines where two planes meet (engine._relation_lines); each is evaluated
-once per mirror pair, and its first colliding fold must be the lowest degree
-of its planes.  At k <= 3 there are none.  The subsets on no plane are
-capped and add to the top bin of every fold.  For k >= 5, where most
-colliding patterns lie on three or more planes, the census instead
-evaluates every gap pattern, one per mirror pair (_census_shard).  Each
-evaluation is counted once per subset it stands for.  Violations name
-explicit subsets: when an evaluation violates, the translates it stands for
-are evaluated again only to collect theirs, and add nothing to the tallies.
+so for k <= 4 the census reads one table of plane classes
+(engine._plane_classes) and walks a plane only to name violations.  A
+pattern on one plane only, of degree w, has |iA| = M(i, k) - M(i - w, k) at
+every fold: each plane is evaluated once, on one representative, for all
+the subsets of its one-plane patterns, whose number the table sums in
+closed form (engine._plane_weight), and the representative must match that
+closed form.  At k = 4 the patterns on two or more planes are the dilates
+t*u of the directions u where two planes meet (engine._relation_lines);
+since h(tA) = t*hA, each direction is evaluated once per mirror pair, for
+all its dilates, and its first colliding fold must be the lowest degree of
+its planes.  At k <= 3 there are none.  The subsets on no plane are capped
+and add to the top bin of every fold.  For k >= 5, where most colliding
+patterns lie on three or more planes, the census instead evaluates every
+gap pattern, one per mirror pair (_census_shard).  Each evaluation is
+counted once per subset it stands for.  Violations name explicit subsets:
+when an evaluation violates, the translates it stands for are evaluated
+again only to collect theirs, and add nothing to the tallies.
 
-Shards split the evaluations: for k <= 4 the planes and line points of the
-one walk, for k >= 5 the patterns by span.  Shard tallies merge by plain
+Shards split the evaluations: for k <= 4 the plane and line classes of the
+table, for k >= 5 the patterns by span.  Shard tallies merge by plain
 addition and list concatenation followed by sorting, so the merged report is
 independent of the shard count and of whether shards ran inline or in worker
 processes.  Per evaluated set, the collision scan recounts the sumset size
@@ -55,10 +58,13 @@ from .compositions import (
 )
 from .engine import (
     _collision_scan,
+    _direction,
     _fold_sizes,
+    _mirror,
+    _plane_classes,
     _plane_points,
+    _plane_weight,
     _relation_lines,
-    _relation_planes,
     first_deficit,
 )
 from .guards import InvariantError, require_subsets
@@ -299,12 +305,6 @@ class _SetEvaluator:
         return _Evaluation(sizes, first, violations)
 
 
-def _mirror(d: tuple[int, ...]) -> tuple[int, ...]:
-    """The gap vector of the reflection s -> span - s of the pattern (0,) + d."""
-    span = d[-1]
-    return tuple(span - s for s in reversed(d[:-1])) + (span,)
-
-
 def _keep_violations(
     evaluator: _SetEvaluator, q: int, d: tuple[int, ...], tally: _ShardTally
 ) -> None:
@@ -351,22 +351,6 @@ def _census_shard(args: tuple[int, int, int, int, int]) -> _ShardTally:
     return tally
 
 
-def _line_points(q: int, k: int, h_cap: int) -> list[tuple[int, ...]]:
-    """Gap vectors below q on two or more relation planes of degree <= h_cap.
-
-    For k <= 4 only: a 4-set pattern on two planes is t*u for a direction u
-    of _relation_lines; two planes of Z^2 meet only at 0, so a 3-set pattern
-    lies on one plane at most, and a 2-set pattern on none.
-    """
-    if k < 4:
-        return []
-    return [
-        (t * u1, t * u2, t * u3)
-        for u1, u2, u3 in _relation_lines(h_cap)
-        for t in range(1, (q - 1) // u3 + 1)
-    ]
-
-
 def _closed_form(k: int, w: int, h_cap: int) -> list[int]:
     """|iA| for i = 1..h_cap of a k-set on exactly one plane of degree <= h_cap,
     of degree w: M(i, k) - M(i - w, k).
@@ -382,64 +366,19 @@ def _closed_form(k: int, w: int, h_cap: int) -> list[int]:
     ]
 
 
-def _walk_planes(q: int, k: int, h_cap: int) -> tuple[list, list, int]:
-    """Walk every relation plane of degree 2..h_cap once, for k <= 4.
-
-    A line point (on two or more planes) is counted for the planes the walk
-    meets it on, and the lowest degree among them.  Every other point lies
-    on its plane only; it adds its q - span translates to the plane's
-    weight, and the first of them is the plane's representative.
-
-    Returns (planes, lines, covered).  planes lists (r, w, representative,
-    weight) for each plane with a one-plane point, lines (d, weight, lowest
-    degree) for the lexicographically smaller of each mirror pair of line
-    points, weighted (q - span) * (1 or 2), and covered is the number of
-    subsets both stand for: every subset that collides by fold h_cap, once.
-    """
-    hits = {d: [0, 0] for d in _line_points(q, k, h_cap)}  # [planes met, lowest w]
-    planes = []
-    covered = 0
-    for w in range(2, h_cap + 1):
-        for r in _relation_planes(k, w):
-            representative, weight = None, 0
-            for d in _plane_points(r, q):
-                hit = hits.get(d)
-                if hit is None:
-                    weight += q - d[-1]
-                    if representative is None:
-                        representative = d
-                else:
-                    if not hit[0]:
-                        hit[1] = w
-                    hit[0] += 1
-            if weight:
-                planes.append((r, w, representative, weight))
-                covered += weight
-    lines = []
-    for d, (met, lowest) in sorted(hits.items()):
-        if met < 2:
-            raise InvariantError(f"line point {d} met on {met} relation planes, not 2 or more")
-        mirrored = _mirror(d)
-        if d > mirrored:
-            continue
-        weight = (q - d[-1]) * (1 if d == mirrored else 2)
-        lines.append((d, weight, lowest))
-        covered += weight
-    return planes, lines, covered
-
-
-def _plane_shard(args: tuple[int, int, int, list, list]) -> _ShardTally:
-    """Evaluate a share of the planes and line points of _walk_planes.
+def _plane_shard(args: tuple[int, int, int, tuple, tuple]) -> _ShardTally:
+    """Evaluate a share of the plane and line classes of engine._plane_classes.
 
     A plane's one-plane points all share the profile of the closed form, so
     its representative is evaluated once, for all of their subsets, and its
-    sizes must equal that closed form.  A line point is evaluated for the
-    subsets of its mirror pair, and its first colliding fold must equal the
-    lowest degree of the planes it lies on.  Either mismatch raises
-    InvariantError.  Violations name explicit subsets: when a representative
-    violates, its plane is walked again and the translates of each of its
-    one-plane points are evaluated at weight 0; when a line point violates,
-    the translates of it and of its mirror are.
+    sizes must equal that closed form.  A line class is evaluated on its
+    direction u, for the subsets of its dilates and their mirrors, and its
+    first colliding fold must equal the lowest degree of the planes through
+    u.  Either mismatch raises InvariantError.  Violations name explicit
+    subsets: when a representative violates, its plane is walked again and
+    the translates of each of its one-plane points are evaluated at weight
+    0; when a direction violates, the translates of its dilates and of
+    their mirrors are.
     """
     q, k, h_cap, planes, lines = args
     evaluator = _SetEvaluator(k, h_cap)
@@ -453,20 +392,22 @@ def _plane_shard(args: tuple[int, int, int, list, list]) -> _ShardTally:
                 f"only, differ from its closed form {closed}"
             )
         if found.violations:
-            line_points = set(_line_points(q, k, h_cap))
+            directions = {u for u, _, _ in _relation_lines(h_cap)} if k == 4 else set()
             for d in _plane_points(r, q):
-                if d not in line_points:
+                if _direction(d) not in directions:
                     _keep_violations(evaluator, q, d, tally)
-    for d, weight, lowest in lines:
-        found = evaluator.evaluate((0,) + d, tally, weight)
+    for u, weight, lowest in lines:
+        found = evaluator.evaluate((0,) + u, tally, weight)
         if found.first != lowest:
             raise InvariantError(
-                f"first collision of {(0,) + d} at fold {found.first}, but its "
+                f"first collision of {(0,) + u} at fold {found.first}, but its "
                 f"lowest relation plane has degree {lowest}"
             )
         if found.violations:
-            for shape in {d, _mirror(d)}:
-                _keep_violations(evaluator, q, shape, tally)
+            for t in range(1, (q - 1) // u[-1] + 1):
+                d = tuple(t * c for c in u)
+                for shape in {d, _mirror(d)}:
+                    _keep_violations(evaluator, q, shape, tally)
     return tally
 
 
@@ -565,14 +506,15 @@ def run_census(
     """Census every k-subset of [1..q] up to fold h_cap.
 
     The subset count C(q,k) is checked against the sweep budget before any
-    enumeration.  For k <= 4 the census walks the relation planes of degree
-    2..h_cap once (_walk_planes), evaluates each plane's representative and
-    each line point for the subsets they stand for (_plane_shard), and counts
-    the remaining subsets, which collide by no fold up to h_cap, as capped.
-    For k >= 5 it evaluates every gap pattern, one per translation and
-    reflection class (_census_shard).  shards controls the partition of the
-    evaluations (of the planes and line points for k <= 4, of the patterns
-    by span modulo shards for k >= 5); workers > 1 runs shards in processes.
+    enumeration.  For k <= 4 the census reads the plane classes of degree
+    2..h_cap (engine._plane_classes), evaluates each plane's representative
+    and each line direction for the subsets they stand for (_plane_shard),
+    and counts the remaining subsets, which collide by no fold up to h_cap,
+    as capped.  For k >= 5 it evaluates every gap pattern, one per
+    translation and reflection class (_census_shard).  shards controls the
+    partition of the evaluations (of the plane and line classes for k <= 4,
+    of the patterns by span modulo shards for k >= 5); workers > 1 runs
+    shards in processes.
     Reports are identical for every shards/workers choice.  A failed internal
     consistency check raises InvariantError.
     """
@@ -589,7 +531,8 @@ def run_census(
     if k > 4:
         shard_args = [(q, k, h_cap, s, shards) for s in range(shards)]
         return _merge_report(q, k, h_cap, _run_shards(_census_shard, shard_args, workers))
-    planes, lines, covered = _walk_planes(q, k, h_cap)
+    planes, lines = _plane_classes(q, k, h_cap)
+    covered = sum(c[-1] for c in planes) + sum(c[1] for c in lines)
     capped = n_subsets - covered
     if capped < 0:
         raise InvariantError(f"relation planes cover {covered} subsets, more than C({q},{k})")
@@ -702,15 +645,16 @@ def count_pair_solutions(
     require_subsets(f"pair solution scan over C({q},{k}) subsets", math.comb(q, k))
     # Equal degrees make both the equation and the B_h order invariant under
     # translation, so the solutions are the translates of the gap patterns
-    # (0, d) on the one plane r . d == 0, r = x[1:] - y[1:]; each pattern,
-    # tested on its translate starting at 1, stands for its q - d[-1]
-    # translates.  r is not zero: x != y and their degrees are equal.
+    # (0, d) on the one plane r . d == 0, r = x[1:] - y[1:]; each pattern
+    # stands for its q - d[-1] translates, which _plane_weight sums without
+    # the walk.  Restricted, each pattern is tested on its translate
+    # starting at 1.  r is not zero: x != y and their degrees are equal.
+    r = tuple(a - b for a, b in zip(x[1:], y[1:]))
+    if not restrict_bstar:
+        return _plane_weight(r, q)
     count = 0
-    for d in _plane_points(tuple(a - b for a, b in zip(x[1:], y[1:])), q):
-        if restrict_bstar:
-            elems = (1,) + tuple(1 + e for e in d)
-            if first_deficit(elems, _fold_sizes(elems, degree)) != degree:
-                continue
-        count += q - d[-1]
+    for d in _plane_points(r, q):
+        elems = (1,) + tuple(1 + e for e in d)
+        if first_deficit(elems, _fold_sizes(elems, degree)) == degree:
+            count += q - d[-1]
     return count
-

@@ -22,15 +22,18 @@ collision scan (_collision_scan) and the first-deficit rule (first_deficit).
 The census calls the unvalidated bitmap kernel and scan directly on the gap
 patterns it generates, whose spans stay below q.  The lemma sweeps call the
 unvalidated bodies of the public functions, _sizes (which picks the
-representation) and _profile, on the candidates they walk, having checked
-the budgets at the start of every sweep; every other caller goes through the
-validating public functions.
+representation) and _profile, on the classes and candidates they take,
+having checked the budgets at the start of every sweep; every other caller
+goes through the validating public functions.
 
 The relation-plane walk (_relation_planes, _plane_points) lists the gap
-patterns on which a given disjoint-support relation x . A == y . A holds;
-the census and the lemma sweeps take their candidates from it and the pair
-count walks its one plane.  _relation_lines lists, for 4-sets, the lines
-where two planes meet, which hold every pattern on more than one plane.
+patterns on which a given disjoint-support relation x . A == y . A holds,
+along arithmetic progressions (_plane_progressions) that _plane_weight sums
+in closed form, without the walk.  _relation_lines lists, for 4-sets, the
+directions where two planes meet, which hold every pattern on more than one
+plane, with the planes through each.  From both, _plane_classes builds the
+table the census and the full k = 4 lemma sweeps read: one class per plane
+and per direction, each of one profile and a closed-form subset count.
 """
 
 from __future__ import annotations
@@ -300,42 +303,55 @@ def _relation_planes(k: int, w: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _relation_lines(h_cap: int) -> tuple[tuple[int, int, int], ...]:
-    """Primitive directions 0 < u_1 < u_2 < u_3 where two planes meet, ascending.
+def _relation_lines(h_cap: int) -> tuple[tuple[tuple[int, int, int], tuple, int], ...]:
+    """(u, planes, lowest) for each primitive direction 0 < u_1 < u_2 < u_3
+    where two planes of degree 2..h_cap meet, ascending by u.
 
-    For 4-sets the planes of degree 2..h_cap live in Z^3, and two distinct
-    ones, r . d == 0 and s . d == 0, meet in the line spanned by r x s.  So a
-    gap vector on two or more of them is t*u for one of these directions u
-    and some t >= 1, and every such t*u lies on the two planes that gave u.
-    Planes of one sign hold no gap vector and take no part.
+    For 4-sets the planes live in Z^3, and two distinct ones, r . d == 0 and
+    s . d == 0, meet in the line spanned by r x s.  So a gap vector on two or
+    more of them is t*u for one of these directions u and some t >= 1.  The
+    first plane through u, in degree order, meets every other one in u
+    while it is crossed with the planes after it, so that pass lists them
+    all, by degree, and gives the lowest degree.  Planes of one sign hold no
+    gap vector and take no part.
     """
     planes = [
-        r
+        (w, r)
         for w in range(2, h_cap + 1)
         for r in _relation_planes(4, w)
         if min(r) < 0 < max(r)
     ]
-    lines = set()
-    for i, (a1, a2, a3) in enumerate(planes):
-        for b1, b2, b3 in planes[i + 1 :]:
-            u = (a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)
-            if u[0] < 0:
-                u = (-u[0], -u[1], -u[2])
-            if 0 < u[0] < u[1] < u[2]:
-                g = math.gcd(*u)
-                lines.add((u[0] // g, u[1] // g, u[2] // g))
-    return tuple(sorted(lines))
+    through: dict[tuple[int, int, int], list] = {}
+    for i, (w, a) in enumerate(planes):
+        a1, a2, a3 = a
+        met: dict[tuple[int, int, int], list] = {}  # u -> [w, a, later planes]
+        for _, b in planes[i + 1 :]:
+            b1, b2, b3 = b
+            u1, u2, u3 = a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1
+            if u1 < 0:
+                u1, u2, u3 = -u1, -u2, -u3
+            if 0 < u1 < u2 < u3:
+                g = math.gcd(u1, u2, u3)
+                u = (u1 // g, u2 // g, u3 // g)
+                if u not in through:
+                    met.setdefault(u, [w, a]).append(b)
+        through.update(met)
+    return tuple((u, tuple(met[1:]), met[0]) for u, met in sorted(through.items()))
 
 
-def _plane_points(r: Sequence[int], q: int) -> Iterator[tuple[int, ...]]:
-    """Gap vectors 0 < d_1 < ... < d_{k-1} < q with r . d == 0, ascending.
+def _plane_progressions(
+    r: Sequence[int], q: int
+) -> Iterator[tuple[tuple[int, ...], tuple[int, int], tuple[int, int], tuple[int, int]]]:
+    """The gap vectors 0 < d_1 < ... < d_{k-1} < q with r . d == 0, as
+    arithmetic progressions (prefix, first, last, step).
 
     With j the last coordinate whose coefficient is nonzero, d_j is solved
-    for: the coordinates before d_{j-1} are enumerated, d_{j-1} steps along
-    the residue class that makes d_j integral, within the interval where
+    for: the prefix, the coordinates before d_{j-1}, is enumerated, and
+    (d_{j-1}, d_j) steps from first to last by step, along the residue class
+    of d_{j-1} that makes d_j integral, within the interval where
     d_{j-1} < d_j and the coordinates after d_j, which are free, still fit
-    below q.  So the walk costs one step per point plus one per prefix.  r
-    must not be all zero.
+    below q.  Prefixes come in lexicographic order, and each progression
+    ascends in d_{j-1}.  r must not be all zero.
     """
     if min(r) >= 0 or max(r) <= 0:
         return  # a nonzero r of one sign has r . d != 0 for every d > 0
@@ -343,11 +359,10 @@ def _plane_points(r: Sequence[int], q: int) -> Iterator[tuple[int, ...]]:
     sign = 1 if r[j] > 0 else -1
     r_j, r_s = sign * r[j], sign * r[j - 1]
     prefix_r = [sign * c for c in r[: j - 1]]
-    tail = len(r) - 1 - j
-    top = q - 1 - tail  # largest d_j leaving room for the free tail
+    top = q - len(r) + j  # largest d_j leaving room for the free tail
     g = math.gcd(r_s, r_j)
-    step = r_j // g
-    inverse = pow(r_s // g, -1, step)
+    step = (r_j // g, -r_s // g)
+    inverse = pow(r_s // g, -1, step[0])
     for prefix in itertools.combinations(range(1, top - 1), j - 1):
         c = sum(map(operator.mul, prefix_r, prefix))
         if c % g:
@@ -355,14 +370,53 @@ def _plane_points(r: Sequence[int], q: int) -> Iterator[tuple[int, ...]]:
         # d_j = -(c + r_s * d) / r_j with d = d_{j-1}: d_j <= top and d_j > d
         lo, hi = _narrow(r_s, -(c + r_j * top), prefix[-1] + 1 if prefix else 1, top - 1)
         lo, hi = _narrow(-(r_s + r_j), c + r_j, lo, hi)
-        residue = -c // g * inverse % step
-        for d in range(lo + (residue - lo) % step, hi + 1, step):
-            point = prefix + (d, -(c + r_s * d) // r_j)
+        lo += (-c // g * inverse - lo) % step[0]
+        if lo <= hi:
+            hi -= (hi - lo) % step[0]
+            yield prefix, (lo, -(c + r_s * lo) // r_j), (hi, -(c + r_s * hi) // r_j), step
+
+
+def _plane_points(r: Sequence[int], q: int) -> Iterator[tuple[int, ...]]:
+    """Gap vectors 0 < d_1 < ... < d_{k-1} < q with r . d == 0, ascending:
+    the points of _plane_progressions, each with every free tail."""
+    for prefix, first, last, step in _plane_progressions(r, q):
+        tail = len(r) - len(prefix) - 2
+        for i in range((last[0] - first[0]) // step[0] + 1):
+            point = prefix + (first[0] + i * step[0], first[1] + i * step[1])
             if tail:
                 for rest in itertools.combinations(range(point[-1] + 1, q), tail):
                     yield point + rest
             else:
                 yield point
+
+
+@lru_cache(maxsize=None)
+def _plane_weight(r: tuple[int, ...], q: int) -> int:
+    """Sum of q - d[-1] over the points d of _plane_points(r, q): the number
+    of subsets of [1..q] whose gap vector lies on r, without the walk.
+
+    A point with t free tail coordinates after d_j stands for the
+    C(q - d_j, t + 1) ways to pick the tail and a translate: a polynomial of
+    degree t + 1 in the index along a progression, summed in closed form
+    from its forward differences.  Tables of several h_cap share it.
+    """
+    total = 0
+    for prefix, first, last, step in _plane_progressions(r, q):
+        m = len(r) - len(prefix) - 1
+        n = (last[0] - first[0]) // step[0] + 1
+        if m == 1:  # no free tail: q - d_j, summed from its two ends
+            total += n * (2 * q - first[1] - last[1]) // 2
+            continue
+        values = [_binomial(q - first[1] - i * step[1], m) for i in range(m + 1)]
+        for i in range(m + 1):
+            total += math.comb(n, i + 1) * values[0]
+            values = [b - a for a, b in zip(values, values[1:])]
+    return total
+
+
+def _binomial(x: int, m: int) -> int:
+    """C(x, m) as a polynomial in x, so also defined for x < 0."""
+    return math.prod(range(x - m + 1, x + 1)) // math.factorial(m)
 
 
 def _narrow(a: int, e: int, lo: int, hi: int) -> tuple[int, int]:
@@ -372,6 +426,65 @@ def _narrow(a: int, e: int, lo: int, hi: int) -> tuple[int, int]:
     if a < 0:
         return lo, min(hi, e // a)
     return (lo, hi) if e <= 0 else (lo, lo - 1)
+
+
+@lru_cache(maxsize=None)
+def _plane_classes(q: int, k: int, h_cap: int) -> tuple[tuple, tuple]:
+    """(planes, lines): the gap vectors below q on relation planes of degree
+    2..h_cap, for k <= 4, as classes of one profile each.
+
+    lines holds (u, weight, lowest) for each direction u of _relation_lines
+    with u_3 < q, the smaller of each mirror pair: its dilates t*u and their
+    mirrors share u's collisions, since h(tA) = t*hA, and stand for weight
+    subsets, (1 or 2) times the sum of q - t*u_3; lowest is the least degree
+    of u's planes.  At k <= 3 two planes meet only at 0.  planes holds
+    (r, w, representative, weight) for each plane of degree w with a point on
+    no other plane: weight is _plane_weight(r, q) less the subsets of the
+    dilates on r, and representative its first point that is no t*u.
+    """
+    on_plane: dict[tuple[int, ...], list] = {}
+    lines = []
+    for u, through, lowest in _relation_lines(h_cap) if k == 4 else ():
+        if u[2] >= q:
+            continue
+        if len(through) < 2:
+            raise InvariantError(
+                f"line {u} met on {len(through)} relation planes, not 2 or more"
+            )
+        t = (q - 1) // u[2]
+        weight = t * q - u[2] * t * (t + 1) // 2
+        for r in through:
+            on_plane.setdefault(r, []).append((u, weight))
+        mirrored = _mirror(u)
+        if u <= mirrored:
+            lines.append((u, weight * (1 if u == mirrored else 2), lowest))
+    planes = []
+    for w in range(2, h_cap + 1):
+        for r in _relation_planes(k, w):
+            on_lines = on_plane.get(r, ())
+            weight = _plane_weight(r, q) - sum(dilates for _, dilates in on_lines)
+            if not weight:
+                continue
+            directions = {u for u, _ in on_lines}
+            representative = next(
+                (d for d in _plane_points(r, q) if _direction(d) not in directions), None
+            )
+            if weight < 0 or representative is None:
+                raise InvariantError(f"plane {r} has {weight} subsets on no other plane")
+            planes.append((r, w, representative, weight))
+    return tuple(planes), tuple(lines)
+
+
+def _direction(d: tuple[int, ...]) -> tuple[int, ...]:
+    """The primitive vector d / gcd(d)."""
+    g = math.gcd(*d)
+    return tuple(c // g for c in d)
+
+
+def _mirror(d: tuple[int, ...]) -> tuple[int, ...]:
+    """The gap vector of the reflection s -> span - s of the pattern (0,) + d."""
+    span = d[-1]
+    return tuple(span - s for s in reversed(d[:-1])) + (span,)
 
 
 @lru_cache(maxsize=None)

@@ -15,26 +15,23 @@ subsets, and when no pattern violated they only count the translates.
 Instances and violations come out in subset enumeration order, exactly as a
 plain per-subset sweep gives them.
 
-ortho and repno check the same sets, and a pattern's classification
-depends only on the pattern and h, never on q or on the sweep that asks,
-so _classes keeps every classification made, per h and pattern: the
-profile at fold h + 1 when the first deficit is there, else None.  A sweep
-walks its candidates in order, reads those already classified and
-classifies only the others, storing each as it is made, so a sampled or
-interrupted sweep keeps what it finished.  Each sweep still applies its own
-check.  The default verify-all grid takes 6,332 profiles this way, and the
-last candidate walk is kept too, so repno after ortho at the same (q, h)
-walks no plane again.  The classification, and the re-check of a violating
-pattern's translates, call the unchecked engine bodies _sizes and _profile,
-which is safe because every candidate and translate is built sorted,
-distinct and positive, and the budgets are checked at the start of every
-sweep, warm or cold: the widest window and the composition count at fold
-h + 1.  Nothing else keys the memo, so code that rebinds _sizes or _profile
-clears _classes first; the tests clear it around every test.
+A full sweep at k = 4 reads the plane classes of engine._plane_classes at
+h_cap = h + 1 instead of walking.  A set of B_h order exactly h is then
+either a one-plane point of a plane of degree h + 1, whose one collision at
+fold h + 1 is the plane's pair (v+, v-), or a dilate t*u of a direction u
+of lowest plane degree h + 1, or its mirror, with u's collisions since
+h(tA) = t*hA.  Both statements are invariant under these maps, so
+_class_profiles profiles one representative per class, checked as a walked
+candidate is, and a plane's representative must show exactly its pair
+(InvariantError otherwise).  When no class violates, the instances are the
+class weights, summed; when one does, the sweep falls back to the walk, so
+violations name their own subsets in enumeration order.  The last (q, h)
+is kept, so repno after ortho takes no profile again.
 
-The classification covers only the candidate patterns that can have B_h order
-exactly h: those on a relation plane of degree h + 1 (engine's
-_relation_planes and _plane_points).  Nothing qualifying is lost.  A set
+The walk, which sampled and k >= 5 sweeps take, classifies only the
+candidate patterns that can have B_h order exactly h: those on a relation
+plane of degree h + 1 (engine's _relation_planes and _plane_points), in
+order, as far as the sweep needs.  Nothing qualifying is lost.  A set
 whose first deficit is at fold h + 1 has a collision x . A == y . A there;
 cancelling the common part of x and y leaves a relation of degree at most
 h + 1, and of degree exactly h + 1, since a lower one would be an earlier
@@ -44,13 +41,17 @@ pattern lies on one of the primitive planes walked, at every k.  The walk
 can add candidates but cannot drop a qualifying one, and every candidate is
 still classified through the size kernel and first_deficit and profiled
 by composition enumeration, whose size at fold h + 1 must equal the kernel's
-(InvariantError otherwise): the walk never decides a verdict.  It is the one
-source even where planes are dense, as at k = 5 at desk scale, and it costs
-more there than a pass over every pattern would; since the argument above
-holds at every k, a second source would buy only time.  ddp needs no
-patterns: its dot products are the sums of h + 1 elements of [1..q] with at
-most four distinct values, built by a four-round DP over values
-(_dot_products).
+(InvariantError otherwise): the walk never decides a verdict.  It is the
+one source even where planes are dense, as at k = 5 at desk scale, and it
+costs more there than a pass over every pattern would; since the argument
+above holds at every k, a second source would buy only time.  The classes,
+the walk and the re-check of a violating pattern's translates call the
+unchecked engine bodies _sizes and _profile, which is safe because every
+pattern is built sorted, distinct and positive, and the budgets are checked
+at the start of every sweep; code that rebinds either clears
+_class_profiles first.  ddp needs no patterns: its dot products are
+the sums of h + 1 elements of [1..q] with at most four distinct values,
+built by a four-round DP over values (_dot_products).
 
 Verified statements, at desk scale:
   ortho      colliding vector pairs at the first colliding order have
@@ -77,6 +78,7 @@ from .compositions import Composition, disjoint_support_pairs, multiset_count
 from .census import RepBoundViolation, SupportOverlapViolation, _rep_bound
 from .engine import (
     SumsetProfile,
+    _plane_classes,
     _plane_points,
     _profile,
     _relation_planes,
@@ -173,58 +175,66 @@ class DotProductRange:
 
 
 @functools.lru_cache(maxsize=1)
-def _candidates(q: int, k: int, h: int) -> tuple[tuple[int, ...], ...]:
-    """The patterns on the relation planes of degree h + 1, as translates
-    starting at 1 in subset enumeration order: every pattern of B_h order
-    exactly h is among them (see the module docstring).  The last walk is
-    kept, for the repno sweep that follows ortho at the same (q, k, h)."""
-    points: set[tuple[int, ...]] = set()
-    for r in _relation_planes(k, h + 1):
-        points.update(_plane_points(r, q))
-    return tuple((1,) + tuple(1 + d for d in point) for point in sorted(points))
+def _class_profiles(q: int, h: int) -> tuple[tuple, ...]:
+    """(pattern, weight, profile at fold h + 1) for each class of 4-subsets
+    of [1..q] with B_h order exactly h, in pattern order: each plane of
+    degree h + 1, on its representative, and each direction whose lowest
+    plane degree is h + 1 (see the module docstring).
 
-
-# h -> pattern -> its profile at fold h + 1 when its first deficit is
-# there, else None: every classification made so far.
-_classes: dict[int, dict[tuple[int, ...], SumsetProfile | None]] = {}
+    A class not of B_h order exactly h, whose kernel size at fold h + 1
+    differs from its profile's, or, on a plane, whose collisions are not
+    just its plane's pair, raises InvariantError.  The last (q, h) is kept,
+    for the repno sweep that follows ortho."""
+    planes, lines = _plane_classes(q, 4, h + 1)
+    classes = [(d, weight, r) for r, w, d, weight in planes if w == h + 1]
+    classes += [(u, weight, None) for u, weight, lowest in lines if lowest == h + 1]
+    found = []
+    for d, weight, r in sorted(classes):
+        pattern = (1,) + tuple(1 + e for e in d)
+        sizes = _sizes(pattern, h + 1)
+        if first_deficit(pattern, sizes) != h + 1:
+            raise InvariantError(f"class {pattern} does not first collide at fold {h + 1}")
+        profile = _checked_profile(pattern, h, sizes)
+        if r:
+            v = (-sum(r),) + r
+            pair = {tuple(max(c, 0) for c in v), tuple(max(-c, 0) for c in v)}
+            if [set(c.vectors) for c in profile.collisions] != [pair]:
+                raise InvariantError(
+                    f"collisions of {pattern} at fold {h + 1} are not the one "
+                    f"pair {sorted(pair)} of its plane {r}"
+                )
+        found.append((pattern, weight, profile))
+    return tuple(found)
 
 
 def _qualifying(
     q: int, k: int, h: int, work: dict
 ) -> Iterator[tuple[tuple[int, ...], SumsetProfile]]:
-    """(pattern, profile at fold h + 1) for each candidate of (q, k, h)
-    whose first deficit is at fold h + 1, in order; the counts go into work.
+    """(pattern, profile at fold h + 1) for each pattern on the relation
+    planes of degree h + 1, as the translate starting at 1, whose first
+    deficit is at fold h + 1, in subset enumeration order, classifying each
+    as it is met; the counts go into work."""
+    points: set[tuple[int, ...]] = set()
+    for r in _relation_planes(k, h + 1):
+        points.update(_plane_points(r, q))
+    for pattern in ((1,) + tuple(1 + d for d in point) for point in sorted(points)):
+        work["patterns_classified"] += 1
+        sizes = _sizes(pattern, h + 1)
+        if first_deficit(pattern, sizes) == h + 1:
+            work["profiles"] += 1
+            yield pattern, _checked_profile(pattern, h, sizes)
 
-    A candidate already in _classes[h] is read from it; the others are
-    classified and stored as they are met.  The kernel's size at fold
-    h + 1 must equal the profile's, or InvariantError is raised."""
-    # the unchecked engine bodies below get their budgets checked on every
-    # sweep: every candidate lies in [1..q] and is profiled at fold h + 1
-    require_compositions(
-        f"composition enumeration for h={h + 1}, k={k}", multiset_count(h + 1, k)
-    )
-    require_budget("sumset bitmap", (h + 1) * (q - 1) + 1, DEFAULT_MAX_BITMAP_BITS)
-    classes = _classes.setdefault(h, {})
-    for pattern in _candidates(q, k, h):
-        if pattern in classes:
-            profile = classes[pattern]
-            if profile is not None:
-                work["reused"] += 1
-        else:
-            work["patterns_classified"] += 1
-            sizes = _sizes(pattern, h + 1)
-            profile = None
-            if first_deficit(pattern, sizes) == h + 1:
-                profile = _profile(pattern, h + 1)
-                if sizes[h] != profile.size:
-                    raise InvariantError(
-                        f"kernel size {sizes[h]} != enumerated size "
-                        f"{profile.size} at fold {h + 1} of {pattern}"
-                    )
-                work["profiles"] += 1
-            classes[pattern] = profile
-        if profile is not None:
-            yield pattern, profile
+
+def _checked_profile(pattern: tuple[int, ...], h: int, sizes: list[int]) -> SumsetProfile:
+    """The profile of pattern at fold h + 1, whose size must equal the
+    kernel's, sizes[h], or InvariantError is raised."""
+    profile = _profile(pattern, h + 1)
+    if sizes[h] != profile.size:
+        raise InvariantError(
+            f"kernel size {sizes[h]} != enumerated size "
+            f"{profile.size} at fold {h + 1} of {pattern}"
+        )
+    return profile
 
 
 def _violations_by_set(
@@ -240,17 +250,35 @@ def _violations_by_set(
     Raises ValueError when there is no such subset, so an empty sweep cannot
     pass.
 
-    The subsets starting at 1 are the gap patterns, read from _qualifying as
-    far as this sweep needs and each checked once, on itself.  The subsets
+    A full sweep at k = 4 counts the instances from the classes of
+    _class_profiles when none of them violates.  Otherwise the subsets
+    starting at 1, the gap patterns, are read from _qualifying as far as
+    this sweep needs and each checked once, on itself.  The subsets
     starting at c + 1 are the translates by c of the patterns with largest
     element at most q - c, met in the same order.  When no pattern violated
     they are only counted; otherwise a later pass walks the qualifying
     patterns again and re-checks a translate on its own elements only when
-    its pattern violated.  work counts what this call did: new
-    classifications and profiles, and qualifying classifications reused.
+    its pattern violated.  work counts what this call did: classifications
+    and profiles made, and class profiles reused from the last sweep.
     """
-    limit = math.inf if sample is None else sample
+    # the unchecked engine bodies get their budgets checked on every sweep:
+    # every pattern and translate lies in [1..q] and is profiled at fold h + 1
+    require_compositions(
+        f"composition enumeration for h={h + 1}, k={k}", multiset_count(h + 1, k)
+    )
+    require_budget("sumset bitmap", (h + 1) * (q - 1) + 1, DEFAULT_MAX_BITMAP_BITS)
     work = {"patterns_classified": 0, "profiles": 0, "reused": 0}
+    if k == 4 and sample is None:
+        misses = _class_profiles.cache_info().misses
+        classes = _class_profiles(q, h)
+        if _class_profiles.cache_info().misses > misses:
+            work["patterns_classified"] = work["profiles"] = len(classes)
+        else:
+            work["reused"] = len(classes)
+        # with no class the walk below refuses the empty sweep
+        if classes and not any(check(p, profile) for p, _, profile in classes):
+            return sum(weight for _, weight, _ in classes), [], work
+    limit = math.inf if sample is None else sample
     instances = 0
     violations: list = []
     qualifying: list[tuple[int, ...]] = []

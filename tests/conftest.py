@@ -3,19 +3,26 @@ from pathlib import Path
 
 import pytest
 
-from sumset_census import verifier
+from sumset_census import engine, verifier
 
 # tests import the shared oracles module by plain name
 sys.path.insert(0, str(Path(__file__).parent))
 
 
+CACHES = (
+    engine._plane_weight,
+    engine._plane_classes,
+    verifier._class_profiles,
+)
+
+
 @pytest.fixture(autouse=True)
-def cold_verifier():
-    """Every test starts and ends with no classification or candidate walk
-    held, so a patched _profile or _sizes is never answered from the memo
-    and leaves none of its profiles behind."""
-    verifier._classes.clear()
-    verifier._candidates.cache_clear()
+def cold_caches():
+    """Every test starts and ends with no plane weight, class table or class
+    profile held, so a patched engine or verifier binding is never answered
+    from a cache and leaves none of its results behind."""
+    for cache in CACHES:
+        cache.cache_clear()
     yield
-    verifier._classes.clear()
-    verifier._candidates.cache_clear()
+    for cache in CACHES:
+        cache.cache_clear()

@@ -4,6 +4,8 @@ import math
 import multiprocessing
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sumset_census import (
     BudgetExceededError,
@@ -15,7 +17,7 @@ from sumset_census import (
     run_census,
     tetrahedral,
 )
-from sumset_census import census, cli
+from sumset_census import census, cli, engine
 from sumset_census.compositions import compositions_table
 
 from oracles import (
@@ -179,13 +181,13 @@ class TestClosedForm:
     def test_every_one_plane_pattern(self, q, k, h_cap):
         # planes through each pattern by direct dot products, not by the walk
         planes = [
-            (w, r) for w in range(2, h_cap + 1) for r in census._relation_planes(k, w)
+            (w, r) for w in range(2, h_cap + 1) for r in engine._relation_planes(k, w)
         ]
-        line_points = set(census._line_points(q, k, h_cap))
+        directions = {u for u, _, _ in engine._relation_lines(h_cap)} if k == 4 else set()
         one_plane = 0
         for d in itertools.combinations(range(1, q), k - 1):
             degrees = [w for w, r in planes if sum(c * e for c, e in zip(r, d)) == 0]
-            assert (len(degrees) >= 2) == (d in line_points)
+            assert (len(degrees) >= 2) == (engine._direction(d) in directions)
             if len(degrees) == 1:
                 one_plane += 1
                 closed = census._closed_form(k, degrees[0], h_cap)
@@ -193,19 +195,23 @@ class TestClosedForm:
         assert one_plane
 
 
+def _patch_lines(monkeypatch, edit):
+    # the class table reads the directions through engine at build time
+    real = engine._relation_lines
+    monkeypatch.setattr(engine, "_relation_lines", lambda h_cap: tuple(edit(real(h_cap))))
+
+
 class TestPlaneCensusFaults:
-    """A broken plane census raises InvariantError or fails a byte test."""
+    """A broken plane-class table raises InvariantError or fails a byte test."""
 
     @staticmethod
     def _lines_without(monkeypatch, u):
-        real = census._relation_lines
-        assert u in real(5)
-        monkeypatch.setattr(
-            census, "_relation_lines", lambda h_cap: tuple(v for v in real(h_cap) if v != u)
-        )
+        assert u in {v for v, _, _ in engine._relation_lines(5)}
+        _patch_lines(monkeypatch, lambda lines: (line for line in lines if line[0] != u))
 
     def test_dropped_line_overcounts(self, monkeypatch):
-        # (1, 2, 3) would be counted on each of its planes as a one-plane point
+        # the dilates of (1, 2, 3) would be counted on each of its planes as
+        # one-plane points
         self._lines_without(monkeypatch, (1, 2, 3))
         with pytest.raises(InvariantError, match="more than C"):
             run_census(q=12, k=4, h_cap=4)
@@ -221,11 +227,19 @@ class TestPlaneCensusFaults:
         assert run_census(q=25, k=4, h_cap=5) != _plain_report(25, 4, 5)
 
     def test_line_point_on_one_plane(self, monkeypatch):
-        real = census._relation_lines
-        assert (1, 5, 10) not in real(4)
-        monkeypatch.setattr(census, "_relation_lines", lambda h_cap: real(h_cap) + ((1, 5, 10),))
-        with pytest.raises(InvariantError, match=r"line point \(1, 5, 10\) met on 1 relation"):
+        # (1, 5, 10) lies on the one plane (0, 2, -1) of degree <= 4
+        assert (1, 5, 10) not in {u for u, _, _ in engine._relation_lines(4)}
+        spurious = ((1, 5, 10), ((0, 2, -1),), 2)
+        _patch_lines(monkeypatch, lambda lines: sorted(lines + (spurious,)))
+        with pytest.raises(InvariantError, match=r"line \(1, 5, 10\) met on 1 relation"):
             run_census(q=12, k=4, h_cap=4)
+        # listed on a second plane it does not lie on, of degree 3, it takes
+        # subsets from that plane's closed form to the one of degree 2
+        assert (1, 2, -1) in engine._relation_planes(4, 3)
+        spurious = ((1, 5, 10), ((0, 2, -1), (1, 2, -1)), 2)
+        _patch_lines(monkeypatch, lambda lines: sorted(lines + (spurious,)))
+        engine._plane_classes.cache_clear()
+        assert run_census(q=25, k=4, h_cap=4) != _plain_report(25, 4, 4)
 
     def test_wrong_closed_form(self, monkeypatch):
         real = census._closed_form
@@ -236,19 +250,41 @@ class TestPlaneCensusFaults:
             with pytest.raises(InvariantError, match="differ from its closed form"):
                 run_census(q=14, k=k, h_cap=4)
 
-    def test_first_collision_below_the_lowest_plane(self):
+    def test_first_collision_below_the_lowest_plane(self, monkeypatch):
         # (1, 2, 3) lies on d_1 + d_2 = d_3, of degree 2
         census._plane_shard((12, 4, 4, [], [((1, 2, 3), 9, 2)]))
         with pytest.raises(InvariantError, match="lowest relation plane has degree 3"):
             census._plane_shard((12, 4, 4, [], [((1, 2, 3), 9, 3)]))
+        # the same wrong lowest degree, read from the directions
+        _patch_lines(
+            monkeypatch,
+            lambda lines: (
+                (u, planes, lowest + (u == (1, 2, 3))) for u, planes, lowest in lines
+            ),
+        )
+        with pytest.raises(InvariantError, match="lowest relation plane has degree 3"):
+            run_census(q=12, k=4, h_cap=4)
 
     def test_negative_remainder(self, monkeypatch):
-        real = census._plane_points
+        # a plane weight too large leaves fewer than 0 subsets capped, or
+        # one-plane subsets on a plane with no one-plane point; one subset
+        # too many on a plane fails the byte test
+        real = engine._plane_weight
         monkeypatch.setattr(
-            census, "_plane_points", lambda r, q: (d for d in real(r, q) for _ in range(2))
+            engine, "_plane_weight", lambda r, q: real(r, q) + 495 * (r == (1, 1, -1))
         )
         with pytest.raises(InvariantError, match="more than C"):
             run_census(q=12, k=4, h_cap=4)
+        monkeypatch.setattr(engine, "_plane_weight", lambda r, q: 2 * real(r, q))
+        engine._plane_classes.cache_clear()
+        with pytest.raises(InvariantError, match=r"plane \(0, 3, -2\) has 42 subsets on no"):
+            run_census(q=12, k=4, h_cap=4)
+        monkeypatch.setattr(
+            engine, "_plane_weight", lambda r, q: real(r, q) + (r in ((1, 1, -1), (2, -1)))
+        )
+        for k, q in ((3, 14), (4, 20)):
+            engine._plane_classes.cache_clear()
+            assert run_census(q=q, k=k, h_cap=4) != _plain_report(q, k, 4)
 
 
 class TestLadderBoundForEveryK:
@@ -494,6 +530,17 @@ class TestCountPairSolutions:
             return
         count = count_pair_solutions(x, y, q, restrict_bstar=restrict_bstar)
         assert count == plain_pair_count(x, y, q, restrict_bstar=restrict_bstar)
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_plane_weight_matches_pattern_count(self, data):
+        # unrestricted, the count is the plane's closed-form weight
+        k = data.draw(st.sampled_from([3, 4, 5]), label="k")
+        comps = compositions_table(data.draw(st.integers(2, 4), label="degree"), k)
+        x = data.draw(st.sampled_from(comps), label="x")
+        y = data.draw(st.sampled_from(comps).filter(lambda y: y != x), label="y")
+        q = data.draw(st.integers(k, 24), label="q")
+        assert count_pair_solutions(x, y, q) == plain_pair_count(x, y, q)
 
 
 class TestBStarCrossCheck:

@@ -216,7 +216,7 @@ class TestVerify:
         assert result.stdout == verify_ortho(20, 2).to_json() + "\n"
         assert "work" not in result.stdout
         assert (
-            "; work: patterns_classified=437 profiles=386 reused=0\n"
+            "; work: patterns_classified=26 profiles=26 reused=0\n"
             in result.stderr
         )
 

@@ -19,7 +19,7 @@ from sumset_census import (
     profile_naive,
     sumset_sizes,
 )
-from sumset_census import census, engine
+from sumset_census import engine
 from sumset_census.engine import first_deficit
 from sumset_census.guards import DEFAULT_MAX_BITMAP_BITS, InvariantError
 
@@ -420,13 +420,15 @@ class TestRelationPlanes:
         assert len(representation_counter(elems, h + 1)) < composition_count(h + 1, k)
 
 
+@functools.cache
 def _plane_hits(q, k, h_cap):
-    """Relation planes of degree 2..h_cap through each gap vector below q,
-    counted by walking every plane."""
-    hits = Counter()
+    """The relation planes of degree 2..h_cap through each gap vector below
+    q, found by walking every plane."""
+    hits = {}
     for w in range(2, h_cap + 1):
         for r in engine._relation_planes(k, w):
-            hits.update(engine._plane_points(r, q))
+            for d in engine._plane_points(r, q):
+                hits.setdefault(d, []).append(r)
     return hits
 
 
@@ -434,19 +436,82 @@ class TestRelationLines:
     @pytest.mark.parametrize("h_cap,count", [(5, 663), (8, 8419)])
     def test_direction_counts(self, h_cap, count):
         lines = engine._relation_lines(h_cap)
-        assert len(lines) == len(set(lines)) == count
-        for u in lines:
+        directions = [u for u, _, _ in lines]
+        assert len(directions) == len(set(directions)) == count
+        assert directions == sorted(directions)
+        degree = {r: w for w in range(2, h_cap + 1) for r in engine._relation_planes(4, w)}
+        for u, planes, lowest in lines:
             assert 0 < u[0] < u[1] < u[2] <= h_cap * h_cap
             assert math.gcd(*u) == 1
+            assert len(planes) >= 2
+            assert all(sum(c * e for c, e in zip(r, u)) == 0 for r in planes)
+            assert lowest == min(degree[r] for r in planes)
 
     @pytest.mark.parametrize("q,h_cap", [(60, 5), (40, 8)])
     def test_line_points_are_the_points_on_two_or_more_planes(self, q, h_cap):
-        on_two = {d for d, n in _plane_hits(q, 4, h_cap).items() if n >= 2}
-        points = census._line_points(q, 4, h_cap)
-        assert len(points) == len(set(points))
-        assert set(points) == on_two
+        # the dilates of the directions, and the planes through each, against
+        # the planes through each point found by walking every plane
+        on_planes = _plane_hits(q, 4, h_cap)
+        points = {}
+        for u, planes, lowest in engine._relation_lines(h_cap):
+            for t in range(1, (q - 1) // u[2] + 1):
+                points[tuple(t * c for c in u)] = set(planes)
+        assert points == {d: set(rs) for d, rs in on_planes.items() if len(rs) >= 2}
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_no_lines_below_four_elements(self, k):
-        assert census._line_points(40, k, 6) == []
-        assert max(_plane_hits(40, k, 6).values(), default=1) == 1
+        assert engine._plane_classes(40, k, 6)[1] == ()
+        assert max(map(len, _plane_hits(40, k, 6).values()), default=1) == 1
+
+    def test_dilates_share_sizes_and_collisions(self):
+        # h(tA) = t*hA: a dilate t*u has u's sizes and, at its first
+        # colliding fold, the same colliding composition indices
+        for u, _, lowest in engine._relation_lines(6):
+            pattern = (0,) + u
+            sizes = engine._fold_sizes(pattern, 6)
+            _, groups = engine._collision_scan(pattern, lowest)
+            for t in range(2, 89 // u[2] + 1):
+                dilate = tuple(t * c for c in pattern)
+                assert engine._fold_sizes(dilate, 6) == sizes
+                _, dilated = engine._collision_scan(dilate, lowest)
+                assert dilated == {t * n: idxs for n, idxs in groups.items()}
+
+
+class TestPlaneWeights:
+    @given(
+        st.sampled_from([3, 4, 5]).flatmap(
+            lambda k: st.lists(st.integers(-5, 5), min_size=k - 1, max_size=k - 1).filter(any)
+        ),
+        st.integers(1, 80),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_weight_is_the_walk_sum(self, r, q):
+        r = tuple(r)
+        expected = sum(q - d[-1] for d in engine._plane_points(r, q))
+        assert engine._plane_weight(r, q) == expected
+
+    @pytest.mark.parametrize("q,k,h_cap", [(30, 4, 5), (61, 4, 4), (40, 3, 6), (25, 4, 8)])
+    def test_classes_cover_the_colliding_subsets(self, q, k, h_cap):
+        # each plane's one-plane weight and representative, and each line
+        # class, against the planes through every point found by the walk
+        on_planes = _plane_hits(q, k, h_cap)
+        one_plane, lines = Counter(), Counter()
+        for d, planes in sorted(on_planes.items()):
+            if len(planes) == 1:
+                (r,) = planes
+                one_plane[r] += q - d[-1]
+            else:
+                lines[min(d, engine._mirror(d))] += q - d[-1]
+        planes, classes = engine._plane_classes(q, k, h_cap)
+        assert {r: weight for r, _, _, weight in planes} == +one_plane
+        for r, _, representative, _ in planes:
+            first = next(d for d in engine._plane_points(r, q) if len(on_planes[d]) == 1)
+            assert representative == first
+        dilates = Counter()
+        for u, weight, _ in classes:
+            assert u <= engine._mirror(u)
+            dilates[u] = weight
+        assert dilates == Counter(
+            {u: sum(w for d, w in lines.items() if engine._direction(d) == u) for u in dilates}
+        )
+        assert sum(dilates.values()) == sum(lines.values())

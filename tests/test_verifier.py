@@ -316,47 +316,77 @@ class TestPatternSweepMatchesPlainSweep:
 
 
 class TestCandidateSource:
-    """The candidates the relation-plane walk gives, and the work counts a
+    """The classes and candidates the sweeps take, and the work counts a
     sweep reports."""
 
     def test_work_counts(self):
+        # a full k = 4 sweep profiles each class once: at h = 2, 15 planes
+        # of degree 3 and 11 line classes, whatever the q
         verdict = verify_ortho(20, 2)
         assert verdict.work == {
-            "patterns_classified": 437,
-            "profiles": 386,
+            "patterns_classified": 26,
+            "profiles": 26,
             "reused": 0,
         }
         assert "work" not in json.loads(verdict.to_json())
-        # a larger q reads the 386 qualifying classifications of q = 20 and
-        # classifies only the rest
         assert verify_ortho(30, 2).work == {
-            "patterns_classified": 720,
-            "profiles": 692,
-            "reused": 386,
+            "patterns_classified": 26,
+            "profiles": 26,
+            "reused": 0,
         }
-        # a sample stops classifying at its last instance, from cold
-        verifier._classes.clear()
+        # a sample walks the candidates and stops classifying at its last
+        # instance
         assert verify_ortho(30, 2, sample=5).work == {
             "patterns_classified": 12,
             "profiles": 5,
             "reused": 0,
         }
-        # k = 5 walks its dense planes too: 3,603 of the 3,876 patterns
+        # k = 5 walks its dense planes: 3,603 of the 3,876 patterns
         assert verify_repno(20, 5, 2).work["patterns_classified"] == 3603
+
+    @pytest.mark.parametrize("q,h", [(60, 5), (25, 3)])
+    def test_class_route_verdict_bytes(self, q, h):
+        ortho, repno = _plain_verdicts(q, h)
+        assert verify_ortho(q, h).to_json() == ortho
+        assert verify_repno(q, 4, h).to_json() == repno
+
+    def test_plane_representative_must_show_its_pair(self, monkeypatch):
+        # a one-plane representative whose profile shows a second collision
+        # breaks the rule every one-plane point is counted by
+        real = verifier._profile
+
+        def extra_collision(elems, h):
+            profile = real(elems, h)
+            extra = Collision(0, profile.collisions[0].vectors)
+            return dataclasses.replace(profile, collisions=profile.collisions + (extra,))
+
+        monkeypatch.setattr(verifier, "_profile", extra_collision)
+        with pytest.raises(InvariantError, match=r"are not the one pair"):
+            verify_repno(20, 4, 2)
+
+    def test_classes_must_first_collide_at_h_plus_1(self, monkeypatch):
+        real = verifier._plane_classes
+
+        def one_degree_up(q, k, h_cap):
+            planes, lines = real(q, k, h_cap)
+            return planes, tuple((u, weight, lowest + 1) for u, weight, lowest in lines)
+
+        monkeypatch.setattr(verifier, "_plane_classes", one_degree_up)
+        with pytest.raises(InvariantError, match=r"does not first collide at fold 4"):
+            verify_ortho(30, 3)
 
 
 class TestSharedClassification:
-    """ortho and repno share the classifications in verifier._classes: every
-    sweep, sampled or not, leaves what it classified for the next one, warm
-    or cold gives the same bytes as the plain sweeps, and each verdict
-    counts only its own work."""
+    """ortho and repno share the class profiles of the last (q, h): the
+    second sweep profiles nothing, either order gives the same bytes as the
+    plain sweeps, and each verdict counts only its own work."""
 
     def test_second_sweep_classifies_nothing(self):
         verify_ortho(20, 2)
         assert verify_repno(20, 4, 2).work == {
             "patterns_classified": 0,
             "profiles": 0,
-            "reused": 386,
+            "reused": 26,
         }
 
     @pytest.mark.parametrize("q,h", DEFAULT_GRID)
@@ -370,41 +400,31 @@ class TestSharedClassification:
         sampled = verify_ortho(30, 2, sample=5)
         assert sampled.work == {"patterns_classified": 12, "profiles": 5, "reused": 0}
         assert sampled.to_json() == plain_ortho(30, 2, sample=5).to_json()
-        # the sample kept its 12 classifications; the full sweep makes the rest
         ortho = verify_ortho(30, 2)
-        assert ortho.work == {"patterns_classified": 1145, "profiles": 1073, "reused": 5}
+        assert ortho.work == {"patterns_classified": 26, "profiles": 26, "reused": 0}
         assert ortho.to_json() == plain_ortho(30, 2).to_json()
         repno = verify_repno(30, 4, 2)
-        assert repno.work == {"patterns_classified": 0, "profiles": 0, "reused": 1078}
+        assert repno.work == {"patterns_classified": 0, "profiles": 0, "reused": 26}
         assert repno.to_json() == plain_repno(30, 4, 2).to_json()
-        # a sample at a smaller q reads the classifications made at q = 30
         sampled = verify_ortho(20, 2, sample=5)
-        assert sampled.work == {"patterns_classified": 0, "profiles": 0, "reused": 5}
+        assert sampled.work == {"patterns_classified": 12, "profiles": 5, "reused": 0}
         assert sampled.to_json() == plain_ortho(20, 2, sample=5).to_json()
 
     def test_sampled_sweeps_stay_lazy(self):
-        # a sample classifies only as far as its last instance, and keeps it
-        for classified, profiles, reused in ((12, 5, 0), (0, 0, 5)):
+        # a sample classifies only as far as its last instance, cold or
+        # after a full sweep
+        for full in (None, 20, 30):
+            if full:
+                verify_ortho(full, 2)
             sampled = verify_ortho(30, 2, sample=5)
-            assert sampled.work == {
-                "patterns_classified": classified,
-                "profiles": profiles,
-                "reused": reused,
-            }
+            assert sampled.work == {"patterns_classified": 12, "profiles": 5, "reused": 0}
             assert sampled.to_json() == plain_ortho(30, 2, sample=5).to_json()
-        # after a full sweep at q = 20 the sample reads its classifications,
-        # and the full sweep at q = 30 reads all 386 qualifying ones
-        verify_ortho(20, 2)
-        sampled = verify_ortho(30, 2, sample=5)
-        assert sampled.work == {"patterns_classified": 0, "profiles": 0, "reused": 5}
-        assert sampled.to_json() == plain_ortho(30, 2, sample=5).to_json()
-        assert verify_ortho(30, 2).work["reused"] == 386
 
     def test_full_then_sampled_sweeps(self):
         assert verify_ortho(20, 3).to_json() == plain_ortho(20, 3).to_json()
-        for sample in (40, 500):
+        for sample, profiles in ((40, 40), (500, 232)):
             verdict = verify_ortho(20, 3, sample=sample)
-            assert (verdict.work["patterns_classified"], verdict.work["profiles"]) == (0, 0)
+            assert verdict.work["profiles"] == profiles
             assert verdict.to_json() == plain_ortho(20, 3, sample=sample).to_json()
 
     def test_refusals_on_a_warm_classification(self, monkeypatch):
@@ -426,10 +446,10 @@ class TestSharedClassification:
         with pytest.raises(BudgetExceededError) as excinfo:
             verify_repno(20, 4, 2)
         assert excinfo.value.required == 20
-        # with the budget back the sweep reads every classification
+        # with the budget back the sweep reads every class profile
         monkeypatch.delenv("SUMSET_MAX_COMPOSITIONS")
         verdict = verify_repno(20, 4, 2)
-        assert verdict.work == {"patterns_classified": 0, "profiles": 0, "reused": 386}
+        assert verdict.work == {"patterns_classified": 0, "profiles": 0, "reused": 26}
         assert verdict.to_json() == plain_repno(20, 4, 2).to_json()
 
     def test_bitmap_budget_on_the_widest_window(self, monkeypatch):
@@ -442,9 +462,8 @@ class TestSharedClassification:
         assert excinfo.value.required == 3 * (q - 1) + 1
 
     def test_interrupted_classification_is_not_reused(self, monkeypatch):
-        # a failure inside the enumeration stores nothing for the pattern it
-        # interrupted; the next sweep reads what was classified before it,
-        # at q = 16 and at q = 20, and classifies the rest
+        # a failure inside the class profiles keeps none of them: the next
+        # sweep at the same (q, h) profiles every class again
         class Interrupted(Exception):
             pass
 
@@ -455,38 +474,31 @@ class TestSharedClassification:
                 raise Interrupted
             return real(elems, h)
 
-        assert verify_repno(16, 4, 2).work["profiles"] == 208
+        assert verify_repno(16, 4, 2).work["profiles"] == 26
         monkeypatch.setattr(engine, "_collision_scan", interrupted)
         with pytest.raises(Interrupted):
             verify_repno(20, 4, 2)
         monkeypatch.undo()
         verdict = verify_repno(20, 4, 2)
-        # ten profiles finished before the eleventh scan was interrupted
-        assert verdict.work == {"patterns_classified": 178, "profiles": 168, "reused": 218}
+        assert verdict.work == {"patterns_classified": 26, "profiles": 26, "reused": 0}
         assert verdict.to_json() == plain_repno(20, 4, 2).to_json()
 
 
 class TestOnePassPerKH:
-    """A pattern's classification does not depend on q, so each is made once
-    per h: a sweep reads those an earlier q made, and any order of q gives
-    the plain sweeps' bytes."""
+    """Each (q, h) profiles its own classes, so any order of q gives the
+    plain sweeps' bytes, and repno reads what ortho profiled."""
 
     @pytest.mark.parametrize("h", (2, 3, 4))
     def test_any_order_of_q(self, h):
-        for q in (20, 30, 40):
-            ortho, repno = _plain_verdicts(q, h)
-            assert verify_ortho(q, h).to_json() == ortho
-            assert verify_repno(q, 4, h).to_json() == repno
-        verifier._classes.clear()
-        for q in (40, 30, 20):
-            ortho, repno = _plain_verdicts(q, h)
-            verdict = verify_ortho(q, h)
-            assert verdict.to_json() == ortho
-            if q < 40:
+        for grid in ((20, 30, 40), (40, 30, 20)):
+            for q in grid:
+                ortho, repno = _plain_verdicts(q, h)
+                assert verify_ortho(q, h).to_json() == ortho
+                verdict = verify_repno(q, 4, h)
+                assert verdict.to_json() == repno
                 assert verdict.work["patterns_classified"] == 0
-            assert verify_repno(q, 4, h).to_json() == repno
         sampled = verify_ortho(20, h, sample=5)
-        assert sampled.work["patterns_classified"] == 0
+        assert sampled.work["profiles"] == 5
         assert sampled.to_json() == plain_ortho(20, h, sample=5).to_json()
 
 
@@ -545,18 +557,21 @@ class TestFaultInjection:
         _assert_same_verdict(verify_ortho(20, 3, sample=40), plain_ortho(20, 3, sample=40))
 
     def test_patch_after_a_warm_classification(self, monkeypatch):
-        # the memo holds real profiles for h = 2 and is keyed on nothing but
-        # the pattern, so a patch of _profile clears it on the way in, and
-        # again on the way out so the patch's profiles do not outlive it
+        # the class profiles of the last (q, h) are keyed on nothing but
+        # (q, h), so a patch of _profile clears them on the way in, and
+        # again on the way out so the patch's profiles do not outlive it;
+        # the patched classes violate, so the sweep walks every pattern
         assert verify_ortho(20, 2).passed
-        verifier._classes.clear()
+        verifier._class_profiles.cache_clear()
         monkeypatch.setattr(verifier, "_profile", _first_vector_twice)
         verdict = verify_ortho(20, 2)
         assert not verdict.passed
+        # 26 classes, then the 437 candidates of the walk
+        assert verdict.work["patterns_classified"] == 26 + 437
         assert verdict.work["reused"] == 0
         _assert_same_verdict(verdict, plain_ortho(20, 2))
         monkeypatch.undo()
-        verifier._classes.clear()
+        verifier._class_profiles.cache_clear()
         verdict = verify_ortho(20, 2)
         assert verdict.passed
         assert verdict.work["reused"] == 0
