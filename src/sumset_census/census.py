@@ -2,32 +2,34 @@
 
 The sweep computes |iA| for i = 1..h_cap with the engine's bitmap kernel,
 classifies the B_h order from the engine's first-deficit rule, and checks the
-collision-structure lemmas on the way, using the engine's collision scan at
-the first colliding order: the deficit ladder past the first collision, the
-representation bound at order h_star + 1, and pairwise support disjointness
-of colliding vectors.  Per-order size histograms, population tallies and any
-violations are accumulated exactly.
+collision-structure lemmas on the way in one evaluator (_SetEvaluator), whose
+collisions half the lemma sweeps of verifier share: by the engine's collision
+scan at the first colliding order, the deficit ladder past the first
+collision, the representation bound at order h_star + 1, and pairwise
+support disjointness of colliding vectors.  Per-order size histograms,
+population tallies and any violations are accumulated exactly.
 
 Every tallied figure depends on a subset only through its gap pattern up to
-reflection.  A subset collides by fold h_cap exactly when its pattern lies on
-a primitive relation plane of degree at most h_cap (engine._relation_planes),
-so for k <= 4 the census reads one table of plane classes
-(engine._plane_classes) and walks a plane only to name violations.  A
-pattern on one plane only, of degree w, has |iA| = M(i, k) - M(i - w, k) at
-every fold: each plane is evaluated once, on one representative, for all
-the subsets of its one-plane patterns, whose number the table sums in
-closed form (engine._plane_weight), and the representative must match that
-closed form.  At k = 4 the patterns on two or more planes are the dilates
-t*u of the directions u where two planes meet (engine._relation_lines);
-since h(tA) = t*hA, each direction is evaluated once per mirror pair, for
-all its dilates, and its first colliding fold must be the lowest degree of
-its planes.  At k <= 3 there are none.  The subsets on no plane are capped
-and add to the top bin of every fold.  For k >= 5, where most colliding
-patterns lie on three or more planes, the census instead evaluates every
-gap pattern, one per mirror pair (_census_shard).  Each evaluation is
-counted once per subset it stands for.  Violations name explicit subsets:
-when an evaluation violates, the translates it stands for are evaluated
-again only to collect theirs, and add nothing to the tallies.
+reflection.  A subset collides by fold h_cap exactly when its pattern lies
+on a primitive relation plane of degree at most h_cap
+(engine._relation_planes), so for k <= 4 the census reads one table of plane
+classes (engine._plane_classes) and walks a plane only to name violations.
+A pattern on one plane only, of degree w, has |iA| = M(i, k) - M(i - w, k)
+at every fold: each plane is evaluated once, on one representative, for all
+the subsets of its one-plane patterns, whose number the table sums in closed
+form (engine._plane_weight); the representative must match that closed form,
+and its one collision must be its plane's pair.  At k = 4 the patterns on
+two or more planes are the dilates t*u of the directions u where two planes
+meet (engine._relation_lines); since h(tA) = t*hA, each direction is
+evaluated once per mirror pair, for all its dilates, and its first colliding
+fold must be the lowest degree of its planes.  At k <= 3 there are none.
+The subsets on no plane are capped and add to the top bin of every fold.
+For k >= 5, where most colliding patterns lie on three or more planes, the
+census instead evaluates every gap pattern, one per mirror pair
+(_census_shard).  Each evaluation is counted once per subset it stands for.
+Violations name explicit subsets: when an evaluation violates, the
+translates it stands for are evaluated again only to collect theirs, and add
+nothing to the tallies.
 
 Shards split the evaluations: for k <= 4 the plane and line classes of the
 table, for k >= 5 the patterns by span.  Shard tallies merge by plain
@@ -213,10 +215,11 @@ class _ShardTally:
 
 
 class _Evaluation(NamedTuple):
-    """One evaluated set: |iA| for i = 1..h_cap, first colliding fold, violations."""
+    """One evaluated set: |iA| for i = 1..h_cap, first colliding fold, groups, violations."""
 
     sizes: list[int]
     first: int
+    groups: dict[int, list[int]]
     violations: list
 
 
@@ -251,11 +254,10 @@ class _SetEvaluator:
 
     def evaluate(self, elems: tuple[int, ...], tally: _ShardTally, weight: int) -> _Evaluation:
         """Count elems weight times into tally; return its sizes, first
-        colliding fold (0 when capped) and violations.
+        colliding fold (0 when capped), groups and violations.
 
         Weight 0 adds nothing to the tally; the violations still name elems.
         """
-        m_of = self.m_of
         sizes = _fold_sizes(elems, self.h_cap)
         first = first_deficit(elems, sizes)
         if weight:
@@ -264,14 +266,30 @@ class _SetEvaluator:
                 tally.hist[i][size] += weight
         if not first:
             tally.capped += weight
-            return _Evaluation(sizes, 0, [])
+            return _Evaluation(sizes, 0, {}, [])
+        groups, violations = self.collisions(elems, sizes, first)
+        if weight:
+            h_star = first - 1
+            tally.bstar[h_star] += weight
+            if self.m_of[first] - sizes[h_star] >= 2:
+                tally.exceptional[h_star] += weight
+            tally.rep_profile[(h_star, max(map(len, groups.values())))] += weight
+        return _Evaluation(sizes, first, groups, violations)
+
+    def collisions(
+        self, elems: tuple[int, ...], sizes: list[int], first: int
+    ) -> tuple[dict[int, list[int]], list]:
+        """(groups, violations) of elems, first colliding at fold first: the
+        deficit ladder of sizes, and the representation bound and support
+        disjointness of each group of the collision scan at first.  A scan
+        size other than sizes[first - 1], or no group, raises InvariantError.
+        """
         h_star = first - 1
         violations: list = []
         for step, bound in enumerate(self.ladder[h_star], 1):
-            deficit = m_of[h_star + step] - sizes[h_star + step - 1]
+            deficit = self.m_of[h_star + step] - sizes[h_star + step - 1]
             if deficit < bound:
                 violations.append(DeficitLadderViolation(elems, h_star, step, deficit, bound))
-        # collision structure at the first colliding order
         size, groups = _collision_scan(elems, first)
         if size != sizes[h_star]:
             raise InvariantError(
@@ -281,11 +299,8 @@ class _SetEvaluator:
         if not groups:
             raise InvariantError(f"deficit at fold {first} of {elems} but no collision found")
         supp = self.supp_of[first]
-        max_reps = 1
         for t, idxs in groups.items():
             r = len(idxs)
-            if r > max_reps:
-                max_reps = r
             if r > self.rep_bound:
                 violations.append(RepBoundViolation(elems, h_star, t, r))
             for i in range(r):
@@ -297,12 +312,7 @@ class _SetEvaluator:
                                 elems, h_star, t, comps[idxs[i]], comps[idxs[j]]
                             )
                         )
-        if weight:
-            tally.bstar[h_star] += weight
-            if m_of[first] - sizes[h_star] >= 2:
-                tally.exceptional[h_star] += weight
-            tally.rep_profile[(h_star, max_reps)] += weight
-        return _Evaluation(sizes, first, violations)
+        return groups, violations
 
 
 def _keep_violations(
@@ -370,15 +380,16 @@ def _plane_shard(args: tuple[int, int, int, tuple, tuple]) -> _ShardTally:
     """Evaluate a share of the plane and line classes of engine._plane_classes.
 
     A plane's one-plane points all share the profile of the closed form, so
-    its representative is evaluated once, for all of their subsets, and its
-    sizes must equal that closed form.  A line class is evaluated on its
-    direction u, for the subsets of its dilates and their mirrors, and its
-    first colliding fold must equal the lowest degree of the planes through
-    u.  Either mismatch raises InvariantError.  Violations name explicit
-    subsets: when a representative violates, its plane is walked again and
-    the translates of each of its one-plane points are evaluated at weight
-    0; when a direction violates, the translates of its dilates and of
-    their mirrors are.
+    its representative is evaluated once, for all of their subsets: its
+    sizes must equal that closed form, and its one collision at the plane's
+    degree w must be the plane's pair {v+, v-}, v = (-sum(r),) + r.  A line
+    class is evaluated on its direction u, for the subsets of its dilates
+    and their mirrors, and its first colliding fold must equal the lowest
+    degree of the planes through u.  Any mismatch raises InvariantError.
+    Violations name explicit subsets: when a representative violates, its
+    plane is walked again and the translates of each of its one-plane points
+    are evaluated at weight 0; when a direction violates, the translates of
+    its dilates and of their mirrors are.
     """
     q, k, h_cap, planes, lines = args
     evaluator = _SetEvaluator(k, h_cap)
@@ -390,6 +401,14 @@ def _plane_shard(args: tuple[int, int, int, tuple, tuple]) -> _ShardTally:
             raise InvariantError(
                 f"sizes {found.sizes} of {(0,) + representative}, on plane {r} "
                 f"only, differ from its closed form {closed}"
+            )
+        v = (-sum(r),) + r
+        pair = {tuple(max(c, 0) for c in v), tuple(max(-c, 0) for c in v)}
+        comps = compositions_table(w, k)
+        if [{comps[i] for i in idxs} for idxs in found.groups.values()] != [pair]:
+            raise InvariantError(
+                f"collisions of {(0,) + representative} at fold {w} are not the "
+                f"one pair {sorted(pair)} of its plane {r}"
             )
         if found.violations:
             directions = {u for u, _, _ in _relation_lines(h_cap)} if k == 4 else set()

@@ -2,31 +2,26 @@
 
 Each verifier sweeps a fully enumerable instance space and returns a
 LemmaVerdict whose violation list is empty exactly when the statement held
-everywhere.  The sweeps deliberately take their profiles from the exact
-composition enumeration behind profile_naive, rather than the census fast
-path, so they double as an independent route to the same facts.
+everywhere.  ortho and repno check their lemmas with the census's own
+evaluator, census._SetEvaluator, on the sets of B_h order exactly h: its
+collision scan at fold h + 1 must give the kernel's size and a collision
+(InvariantError otherwise), and it names every colliding group over the
+representation bound or with overlapping supports; a sweep keeps the
+violations of its own kind, sorted, which is subset enumeration order.
+These sweeps are not an independent route to the census's facts; the
+per-subset sweeps of tests/oracles.py are, and the sweeps must match them
+byte for byte.
 
-Translating a set by c adds c*i to every i-fold sum and leaves every
-composition alone, so ortho and repno do their expensive step once per
-translation class (gap pattern), on the translate starting at 1, and
-count every translate of it; they re-check a translate on its own
-elements only when its pattern violated, so violations name explicit
-subsets, and when no pattern violated they only count the translates.
-Instances and violations come out in subset enumeration order, exactly as a
-plain per-subset sweep gives them.
-
-A full sweep at k = 4 reads the plane classes of engine._plane_classes at
-h_cap = h + 1 instead of walking.  A set of B_h order exactly h is then
-either a one-plane point of a plane of degree h + 1, whose one collision at
-fold h + 1 is the plane's pair (v+, v-), or a dilate t*u of a direction u
-of lowest plane degree h + 1, or its mirror, with u's collisions since
-h(tA) = t*hA.  Both statements are invariant under these maps, so
-_class_profiles profiles one representative per class, checked as a walked
-candidate is, and a plane's representative must show exactly its pair
-(InvariantError otherwise).  When no class violates, the instances are the
-class weights, summed; when one does, the sweep falls back to the walk, so
-violations name their own subsets in enumeration order.  The last (q, h)
-is kept, so repno after ortho takes no profile again.
+A full sweep at k <= 4 reads the classes of engine._plane_classes at
+h_cap = h + 1 of degree h + 1 through census._plane_shard, as the census
+does.  A set of B_h order exactly h is either a one-plane point of a plane
+of degree h + 1, whose one collision at fold h + 1 is the plane's pair
+(v+, v-), or, at k = 4, a dilate t*u of a direction u of lowest plane
+degree h + 1, or its mirror, with u's collisions since h(tA) = t*hA.  So
+each class is evaluated once, on one representative, and the instances are
+the tally's count of order h; a violating class names its subsets through
+the translates _plane_shard evaluates again.  The last (q, k, h) is kept,
+so repno after ortho evaluates nothing again.
 
 The walk, which sampled and k >= 5 sweeps take, classifies only the
 candidate patterns that can have B_h order exactly h: those on a relation
@@ -39,25 +34,28 @@ collision.  That relation is primitive: a multiple t*r' with t > 1 has t
 times the degree of r', so r' would be an earlier collision too.  So the
 pattern lies on one of the primitive planes walked, at every k.  The walk
 can add candidates but cannot drop a qualifying one, and every candidate is
-still classified through the size kernel and first_deficit and profiled
-by composition enumeration, whose size at fold h + 1 must equal the kernel's
-(InvariantError otherwise): the walk never decides a verdict.  It is the
-one source even where planes are dense, as at k = 5 at desk scale, and it
-costs more there than a pass over every pattern would; since the argument
-above holds at every k, a second source would buy only time.  The classes,
-the walk and the re-check of a violating pattern's translates call the
-unchecked engine bodies _sizes and _profile, which is safe because every
-pattern is built sorted, distinct and positive, and the budgets are checked
-at the start of every sweep; code that rebinds either clears
-_class_profiles first.  ddp needs no patterns: its dot products are
-the sums of h + 1 elements of [1..q] with at most four distinct values,
-built by a four-round DP over values (_dot_products).
+still classified through the size kernel and first_deficit and checked by
+the evaluator: the walk never decides a verdict.  It is the one source even
+where planes are dense, as at k = 5 at desk scale, and it costs more there
+than a pass over every pattern would; since the argument above holds at
+every k, a second source would buy only time.  Translating a set by c adds
+c*i to every i-fold sum and leaves its sizes and compositions alone, so the
+walk checks each pattern once, on the translate starting at 1, and counts
+every translate of it; it checks a translate on its own elements only when
+its pattern violated, so violations name explicit subsets.  The walk calls
+the unchecked engine body _sizes, which is safe because every pattern is
+built sorted, distinct and positive, and the budgets are checked at the
+start of every sweep; code that rebinds what a sweep reads clears
+_class_tally first.  ddp needs no patterns: its dot products are the sums
+of h + 1 elements of [1..q] with at most four distinct values, built by a
+four-round DP over values (_dot_products).
 
 Verified statements, at desk scale:
   ortho      colliding vector pairs at the first colliding order have
              pairwise disjoint supports
-  repno      at order h_star + 1, no sum has more than floor((k+1)/2)
-             representations, and some sum has at least 2
+  repno      at order h_star + 1 no sum has more than floor((k+1)/2)
+             representations (a set with no colliding sum there is an
+             InvariantError of the evaluator)
   ddp        every s in [5h .. hq] is an (h+1)-fold dot product over some
              4-subset of [1..q], found both by an explicit division-algorithm
              recipe and among all such dot products, built by the DP
@@ -67,20 +65,24 @@ Verified statements, at desk scale:
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, NamedTuple
+from typing import NamedTuple
 
+from . import census
 from .compositions import Composition, disjoint_support_pairs, multiset_count
-from .census import RepBoundViolation, SupportOverlapViolation, _rep_bound
+from .census import (
+    RepBoundViolation,
+    SupportOverlapViolation,
+    _SetEvaluator,
+    _ShardTally,
+    _plane_shard,
+)
 from .engine import (
-    SumsetProfile,
     _plane_classes,
     _plane_points,
-    _profile,
     _relation_planes,
     _sizes,
     first_deficit,
@@ -132,13 +134,6 @@ def _jsonable(value):
     return value
 
 
-class MissingCollisionViolation(NamedTuple):
-    """A set classified at order h_star showed no collision at h_star + 1."""
-
-    elements: tuple[int, ...]
-    h_star: int
-
-
 class PairCountViolation(NamedTuple):
     """Disjoint-support pair census disagreeing with its closed form."""
 
@@ -175,164 +170,100 @@ class DotProductRange:
 
 
 @functools.lru_cache(maxsize=1)
-def _class_profiles(q: int, h: int) -> tuple[tuple, ...]:
-    """(pattern, weight, profile at fold h + 1) for each class of 4-subsets
-    of [1..q] with B_h order exactly h, in pattern order: each plane of
-    degree h + 1, on its representative, and each direction whose lowest
-    plane degree is h + 1 (see the module docstring).
-
-    A class not of B_h order exactly h, whose kernel size at fold h + 1
-    differs from its profile's, or, on a plane, whose collisions are not
-    just its plane's pair, raises InvariantError.  The last (q, h) is kept,
-    for the repno sweep that follows ortho."""
-    planes, lines = _plane_classes(q, 4, h + 1)
-    classes = [(d, weight, r) for r, w, d, weight in planes if w == h + 1]
-    classes += [(u, weight, None) for u, weight, lowest in lines if lowest == h + 1]
-    found = []
-    for d, weight, r in sorted(classes):
-        pattern = (1,) + tuple(1 + e for e in d)
-        sizes = _sizes(pattern, h + 1)
-        if first_deficit(pattern, sizes) != h + 1:
-            raise InvariantError(f"class {pattern} does not first collide at fold {h + 1}")
-        profile = _checked_profile(pattern, h, sizes)
-        if r:
-            v = (-sum(r),) + r
-            pair = {tuple(max(c, 0) for c in v), tuple(max(-c, 0) for c in v)}
-            if [set(c.vectors) for c in profile.collisions] != [pair]:
-                raise InvariantError(
-                    f"collisions of {pattern} at fold {h + 1} are not the one "
-                    f"pair {sorted(pair)} of its plane {r}"
-                )
-        found.append((pattern, weight, profile))
-    return tuple(found)
-
-
-def _qualifying(
-    q: int, k: int, h: int, work: dict
-) -> Iterator[tuple[tuple[int, ...], SumsetProfile]]:
-    """(pattern, profile at fold h + 1) for each pattern on the relation
-    planes of degree h + 1, as the translate starting at 1, whose first
-    deficit is at fold h + 1, in subset enumeration order, classifying each
-    as it is met; the counts go into work."""
-    points: set[tuple[int, ...]] = set()
-    for r in _relation_planes(k, h + 1):
-        points.update(_plane_points(r, q))
-    for pattern in ((1,) + tuple(1 + d for d in point) for point in sorted(points)):
-        work["patterns_classified"] += 1
-        sizes = _sizes(pattern, h + 1)
-        if first_deficit(pattern, sizes) == h + 1:
-            work["profiles"] += 1
-            yield pattern, _checked_profile(pattern, h, sizes)
-
-
-def _checked_profile(pattern: tuple[int, ...], h: int, sizes: list[int]) -> SumsetProfile:
-    """The profile of pattern at fold h + 1, whose size must equal the
-    kernel's, sizes[h], or InvariantError is raised."""
-    profile = _profile(pattern, h + 1)
-    if sizes[h] != profile.size:
-        raise InvariantError(
-            f"kernel size {sizes[h]} != enumerated size "
-            f"{profile.size} at fold {h + 1} of {pattern}"
-        )
-    return profile
+def _class_tally(q: int, k: int, h: int) -> tuple[int, _ShardTally]:
+    """(classes, tally) of census._plane_shard over the classes of k-subsets
+    of [1..q] with B_h order exactly h, k <= 4: the planes of degree h + 1 and
+    the directions of lowest plane degree h + 1 of _plane_classes(q, k, h + 1)
+    (see the module docstring).  The last (q, k, h) is kept, for the repno
+    sweep that follows ortho."""
+    planes, lines = _plane_classes(q, k, h + 1)
+    planes = tuple(c for c in planes if c[1] == h + 1)
+    lines = tuple(c for c in lines if c[2] == h + 1)
+    return len(planes) + len(lines), _plane_shard((q, k, h + 1, planes, lines))
 
 
 def _violations_by_set(
-    q: int,
-    k: int,
-    h: int,
-    check: Callable[[tuple[int, ...], SumsetProfile], list],
-    sample: int | None = None,
+    q: int, k: int, h: int, kind: type, sample: int | None = None
 ) -> tuple[int, list, dict]:
-    """(instances, violations, work) of check(A, _profile(A, h + 1)) over
-    the k-subsets A of [1..q] whose B_h order is exactly h, in subset
-    enumeration order, stopping after sample instances when sample is given.
-    Raises ValueError when there is no such subset, so an empty sweep cannot
-    pass.
-
-    A full sweep at k = 4 counts the instances from the classes of
-    _class_profiles when none of them violates.  Otherwise the subsets
-    starting at 1, the gap patterns, are read from _qualifying as far as
-    this sweep needs and each checked once, on itself.  The subsets
-    starting at c + 1 are the translates by c of the patterns with largest
-    element at most q - c, met in the same order.  When no pattern violated
-    they are only counted; otherwise a later pass walks the qualifying
-    patterns again and re-checks a translate on its own elements only when
-    its pattern violated.  work counts what this call did: classifications
-    and profiles made, and class profiles reused from the last sweep.
-    """
+    """(instances, violations of kind, work) over the k-subsets of [1..q]
+    of B_h order exactly h, or their first sample: from _class_tally for a
+    full sweep at k <= 4, from _walk otherwise.  Raises ValueError when there
+    is no such subset, so an empty sweep cannot pass.  work counts what this
+    call did: patterns classified, sets checked, classes reused."""
     # the unchecked engine bodies get their budgets checked on every sweep:
-    # every pattern and translate lies in [1..q] and is profiled at fold h + 1
+    # every pattern and translate lies in [1..q] and is scanned at fold h + 1
     require_compositions(
         f"composition enumeration for h={h + 1}, k={k}", multiset_count(h + 1, k)
     )
     require_budget("sumset bitmap", (h + 1) * (q - 1) + 1, DEFAULT_MAX_BITMAP_BITS)
     work = {"patterns_classified": 0, "profiles": 0, "reused": 0}
-    if k == 4 and sample is None:
-        misses = _class_profiles.cache_info().misses
-        classes = _class_profiles(q, h)
-        if _class_profiles.cache_info().misses > misses:
-            work["patterns_classified"] = work["profiles"] = len(classes)
+    if k <= 4 and sample is None:
+        misses = _class_tally.cache_info().misses
+        classes, tally = _class_tally(q, k, h)
+        if _class_tally.cache_info().misses > misses:
+            work["patterns_classified"] = work["profiles"] = classes
         else:
-            work["reused"] = len(classes)
-        # with no class the walk below refuses the empty sweep
-        if classes and not any(check(p, profile) for p, _, profile in classes):
-            return sum(weight for _, weight, _ in classes), [], work
-    limit = math.inf if sample is None else sample
+            work["reused"] = classes
+        instances, violations = tally.bstar[h], tally.violations
+    else:
+        instances, violations = _walk(q, k, h, sample or math.inf, work)
+    if not instances:
+        raise ValueError(
+            f"no {k}-subset of [1..{q}] has B_h order exactly {h}: nothing to check"
+        )
+    return instances, sorted(v for v in violations if isinstance(v, kind)), work
+
+
+def _walk(q: int, k: int, h: int, limit: float, work: dict) -> tuple[int, list]:
+    """(instances, violations) of the evaluator over the first limit subsets
+    of B_h order exactly h, in subset enumeration order.
+
+    The subsets starting at 1, the gap patterns, are the points of the
+    relation planes of degree h + 1 whose first deficit is at fold h + 1,
+    classified as far as this sweep needs and each checked once, on itself.
+    The subsets starting at c + 1 are the translates by c of the patterns
+    with largest element at most q - c, met in the same order, with the
+    same sizes.  When no pattern violated they are only counted; otherwise a
+    later pass walks the qualifying patterns again and checks a translate
+    on its own elements only when its pattern violated.
+    """
+    evaluator = _SetEvaluator(k, h + 1)
+
+    def check(elems: tuple[int, ...], sizes: list[int]) -> list:
+        work["profiles"] += 1
+        return evaluator.collisions(elems, sizes, h + 1)[1]
+
+    points: set[tuple[int, ...]] = set()
+    for r in _relation_planes(k, h + 1):
+        points.update(_plane_points(r, q))
     instances = 0
     violations: list = []
-    qualifying: list[tuple[int, ...]] = []
+    qualifying: list[tuple[tuple[int, ...], list[int]]] = []
     violated: set[tuple[int, ...]] = set()
-    for pattern, profile in _qualifying(q, k, h, work):
-        found = check(pattern, profile)
+    for pattern in ((1,) + tuple(1 + d for d in point) for point in sorted(points)):
+        work["patterns_classified"] += 1
+        sizes = _sizes(pattern, h + 1)
+        if first_deficit(pattern, sizes) != h + 1:
+            continue
+        found = check(pattern, sizes)
         instances += 1
-        qualifying.append(pattern)
+        qualifying.append((pattern, sizes))
         violations.extend(found)
         if found:
             violated.add(pattern)
         if instances >= limit:
-            return instances, violations, work
-    if not qualifying:
-        raise ValueError(
-            f"no {k}-subset of [1..{q}] has B_h order exactly {h}: nothing to check"
-        )
+            return instances, violations
     if not violated:
-        translates = sum(q - p[-1] for p in qualifying)
-        return min(instances + translates, limit), violations, work
+        return min(instances + sum(q - p[-1] for p, _ in qualifying), limit), violations
     for c in range(1, q - k + 1):
-        qualifying = [p for p in qualifying if p[-1] + c <= q]
-        for pattern in qualifying:
+        qualifying = [(p, s) for p, s in qualifying if p[-1] + c <= q]
+        for pattern, sizes in qualifying:
             if pattern in violated:
-                elems = tuple(e + c for e in pattern)
-                violations.extend(check(elems, _profile(elems, h + 1)))
-                work["profiles"] += 1
+                violations.extend(check(tuple(e + c for e in pattern), sizes))
             instances += 1
             if instances >= limit:
-                return instances, violations, work
-    return instances, violations, work
-
-
-def _support_overlaps(elems: tuple[int, ...], profile: SumsetProfile) -> list:
-    """Vector pairs of one collision at order profile.h that share a slot."""
-    return [
-        SupportOverlapViolation(elems, profile.h - 1, collision.n, x, y)
-        for collision in profile.collisions
-        for x, y in itertools.combinations(collision.vectors, 2)
-        if any(u and v for u, v in zip(x, y))
-    ]
-
-
-def _rep_excesses(elems: tuple[int, ...], profile: SumsetProfile) -> list:
-    """Sums over the representation bound, or the missing collision."""
-    bound = _rep_bound(len(elems))
-    found: list[NamedTuple] = [
-        RepBoundViolation(elems, profile.h - 1, collision.n, len(collision.vectors))
-        for collision in profile.collisions
-        if len(collision.vectors) > bound
-    ]
-    if profile.max_reps < 2:
-        found.append(MissingCollisionViolation(elems, profile.h - 1))
-    return found
+                return instances, violations
+    return instances, violations
 
 
 def verify_ortho(q: int, h: int, sample: int | None = None) -> LemmaVerdict:
@@ -350,7 +281,7 @@ def verify_ortho(q: int, h: int, sample: int | None = None) -> LemmaVerdict:
         raise ValueError(f"sample must be >= 1, got {sample}")
     require_subsets(f"ortho sweep over C({q},4) subsets", math.comb(q, 4))
     started = time.perf_counter()
-    examined, violations, work = _violations_by_set(q, 4, h, _support_overlaps, sample)
+    examined, violations, work = _violations_by_set(q, 4, h, SupportOverlapViolation, sample)
     return LemmaVerdict(
         lemma="ortho",
         params={"q": q, "h": h, "sample": 0 if sample is None else sample},
@@ -363,8 +294,8 @@ def verify_ortho(q: int, h: int, sample: int | None = None) -> LemmaVerdict:
 
 def verify_repno(q: int, k: int, h: int) -> LemmaVerdict:
     """Sweep k-subsets of [1..q] with B_h order exactly h: at order h+1 no sum
-    may have more than floor((k+1)/2) representations, and at least one sum
-    must have two (the collision that capped the order)."""
+    may have more than floor((k+1)/2) representations.  A set with no sum of
+    two there, where the order says one collided, raises InvariantError."""
     if k < 2:
         raise ValueError(f"set size must be >= 2, got k={k}")
     if q < k:
@@ -373,10 +304,10 @@ def verify_repno(q: int, k: int, h: int) -> LemmaVerdict:
         raise ValueError(f"order must be >= 1, got h={h}")
     require_subsets(f"representation sweep over C({q},{k}) subsets", math.comb(q, k))
     started = time.perf_counter()
-    examined, violations, work = _violations_by_set(q, k, h, _rep_excesses)
+    examined, violations, work = _violations_by_set(q, k, h, RepBoundViolation)
     return LemmaVerdict(
         lemma="repno",
-        params={"q": q, "k": k, "h": h, "bound": _rep_bound(k)},
+        params={"q": q, "k": k, "h": h, "bound": census._rep_bound(k)},
         instances=examined,
         violations=tuple(violations),
         elapsed_s=time.perf_counter() - started,
@@ -526,19 +457,19 @@ def verify_paircount(h_max: int) -> LemmaVerdict:
     started = time.perf_counter()
     violations: list[PairCountViolation] = []
     for h in range(1, h_max + 1):
-        census = disjoint_support_pairs(h, 4)
+        pairs = disjoint_support_pairs(h, 4)
         expected_total = 5 * h * h + 1
         expected_nontrivial = 5 * h * h - 5
         if (
-            census.total_disjoint_pairs != expected_total
-            or census.nontrivial_pairs != expected_nontrivial
+            pairs.total_disjoint_pairs != expected_total
+            or pairs.nontrivial_pairs != expected_nontrivial
         ):
             violations.append(
                 PairCountViolation(
                     h,
-                    census.total_disjoint_pairs,
+                    pairs.total_disjoint_pairs,
                     expected_total,
-                    census.nontrivial_pairs,
+                    pairs.nontrivial_pairs,
                     expected_nontrivial,
                 )
             )

@@ -12,15 +12,15 @@ sys.path.insert(0, str(Path(__file__).parent))
 CACHES = (
     engine._plane_weight,
     engine._plane_classes,
-    verifier._class_profiles,
+    verifier._class_tally,
 )
 
 
 @pytest.fixture(autouse=True)
 def cold_caches():
     """Every test starts and ends with no plane weight, class table or class
-    profile held, so a patched engine or verifier binding is never answered
-    from a cache and leaves none of its results behind."""
+    tally held, so a patched engine, census or verifier binding is never
+    answered from a cache and leaves none of its results behind."""
     for cache in CACHES:
         cache.cache_clear()
     yield

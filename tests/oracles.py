@@ -9,14 +9,16 @@ numbers.
 
 The remaining helpers instead keep the package's earlier plain algorithms
 alive as references for its shortcuts: the per-subset census sweep and the
-per-subset ortho, repno and ddp sweeps (the package sweeps gap patterns),
-the pairwise disjoint-support scan (the package counts by support mask), and
-the gap-pattern pair count (the package walks one relation plane).
+per-subset ortho, repno and ddp sweeps (the package reads plane classes or
+walks gap patterns), the pairwise disjoint-support scan (the package counts
+by support mask), and the gap-pattern pair count (the package walks one
+relation plane).
 """
 
 from collections import Counter
 from functools import cache
 import itertools
+from typing import NamedTuple
 
 from sumset_census import census, sumset_sizes, verifier
 from sumset_census.census import (
@@ -218,49 +220,65 @@ def plain_census(q, k, h_cap, shards=1):
     return census._merge_report(q, k, h_cap, tallies)
 
 
+class MissingCollisionViolation(NamedTuple):
+    """A set of B_h order h_star that showed no collision at h_star + 1;
+    the package raises InvariantError there instead."""
+
+    elements: tuple[int, ...]
+    h_star: int
+
+
 def _plain_sets_of_order(q, k, h):
-    """(A, profile at h + 1) for every k-subset A of [1..q] of B_h order
-    exactly h, one subset at a time, through the public sumset_sizes and the
-    verifier module's first_deficit and _profile at call time, so a test
-    that patches those there patches this sweep too."""
+    """(A, collisions at h + 1) for every k-subset A of [1..q] of B_h order
+    exactly h, one subset at a time, collisions as (sum, vectors) by
+    increasing sum.  Sizes come from the public sumset_sizes, the order and
+    the collisions from the census module's first_deficit and
+    _collision_scan at call time, so a test that patches those there
+    patches this sweep too."""
+    comps = compositions_table(h + 1, k)
     for elems in itertools.combinations(range(1, q + 1), k):
-        sizes = sumset_sizes(elems, h + 1)
-        if verifier.first_deficit(elems, sizes) == h + 1:
-            yield elems, verifier._profile(elems, h + 1)
+        if census.first_deficit(elems, sumset_sizes(elems, h + 1)) == h + 1:
+            _, groups = census._collision_scan(elems, h + 1)
+            yield elems, [(n, [comps[i] for i in idxs]) for n, idxs in sorted(groups.items())]
+
+
+def plain_sweeps(q, k, h, sample=None):
+    """(ortho, repno): the LemmaVerdicts of the per-subset ortho and repno
+    sweeps over k-subsets, from one pass that stops after sample sets when
+    sample is given; the ortho verdict is the lemma's own at k = 4.  The
+    representation bound is read through the census module at call time."""
+    bound = census._rep_bound(k)
+    examined = 0
+    overlaps = []
+    excesses = []
+    for elems, collisions in _plain_sets_of_order(q, k, h):
+        examined += 1
+        for n, vectors in collisions:
+            for x, y in itertools.combinations(vectors, 2):
+                if any(u and v for u, v in zip(x, y)):
+                    overlaps.append(SupportOverlapViolation(elems, h, n, x, y))
+            if len(vectors) > bound:
+                excesses.append(RepBoundViolation(elems, h, n, len(vectors)))
+        if not collisions:
+            excesses.append(MissingCollisionViolation(elems, h))
+        if examined == sample:
+            break
+    ortho_params = {"q": q, "h": h, "sample": 0 if sample is None else sample}
+    repno_params = {"q": q, "k": k, "h": h, "bound": bound}
+    return (
+        verifier.LemmaVerdict("ortho", ortho_params, examined, tuple(overlaps), 0.0),
+        verifier.LemmaVerdict("repno", repno_params, examined, tuple(excesses), 0.0),
+    )
 
 
 def plain_ortho(q, h, sample=None):
     """LemmaVerdict of the per-subset ortho sweep."""
-    examined = 0
-    violations = []
-    for elems, profile in _plain_sets_of_order(q, 4, h):
-        examined += 1
-        for collision in profile.collisions:
-            for x, y in itertools.combinations(collision.vectors, 2):
-                if any(u and v for u, v in zip(x, y)):
-                    violations.append(SupportOverlapViolation(elems, h, collision.n, x, y))
-        if sample is not None and examined >= sample:
-            break
-    params = {"q": q, "h": h, "sample": 0 if sample is None else sample}
-    return verifier.LemmaVerdict("ortho", params, examined, tuple(violations), 0.0)
+    return plain_sweeps(q, 4, h, sample)[0]
 
 
 def plain_repno(q, k, h):
     """LemmaVerdict of the per-subset repno sweep."""
-    bound = verifier._rep_bound(k)
-    examined = 0
-    violations = []
-    for elems, profile in _plain_sets_of_order(q, k, h):
-        examined += 1
-        for collision in profile.collisions:
-            if len(collision.vectors) > bound:
-                violations.append(
-                    RepBoundViolation(elems, h, collision.n, len(collision.vectors))
-                )
-        if profile.max_reps < 2:
-            violations.append(verifier.MissingCollisionViolation(elems, h))
-    params = {"q": q, "k": k, "h": h, "bound": bound}
-    return verifier.LemmaVerdict("repno", params, examined, tuple(violations), 0.0)
+    return plain_sweeps(q, k, h)[1]
 
 
 def plain_ddp_achievable(q, h):

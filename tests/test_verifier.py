@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import itertools
 import json
@@ -8,10 +7,9 @@ import pytest
 
 from sumset_census import (
     BudgetExceededError,
-    Collision,
     InvariantError,
+    census,
     cli,
-    engine,
     verifier,
     profile_naive,
     realize_total,
@@ -28,6 +26,7 @@ from oracles import (
     plain_ddp_achievable,
     plain_ortho,
     plain_repno,
+    plain_sweeps,
     representation_counter,
 )
 
@@ -36,9 +35,9 @@ DEFAULT_GRID = [(q, h) for q in cli.DEFAULT_GRID_Q for h in cli.DEFAULT_GRID_H]
 
 @functools.cache
 def _plain_verdicts(q, h):
-    """The plain ortho and repno (k = 4) verdict lines at (q, h), computed
-    once per session; call it only with unpatched bindings."""
-    return plain_ortho(q, h).to_json(), plain_repno(q, 4, h).to_json()
+    """The plain ortho and repno (k = 4) verdict lines at (q, h), from one
+    plain pass per session; call it only with unpatched bindings."""
+    return tuple(verdict.to_json() for verdict in plain_sweeps(q, 4, h))
 
 
 class TestPairCount:
@@ -273,8 +272,8 @@ class TestVerdictSerialization:
 
 
 def test_verifiers_agree_with_census_route():
-    # the ortho sweep and the census walk the same ground independently;
-    # both must see zero violations on the same box
+    # the ortho sweep reads the census's plane classes through the same
+    # evaluator; both must see zero violations on the same box
     from sumset_census import run_census
 
     report = run_census(q=16, k=4, h_cap=4)
@@ -302,6 +301,18 @@ class TestPatternSweepMatchesPlainSweep:
     def test_five_element_repno_bytes(self, q, k, h):
         verdict = verify_repno(q, k, h)
         assert verdict.instances > 0
+        assert verdict.to_json() == plain_repno(q, k, h).to_json()
+
+    @pytest.mark.parametrize(
+        "q,k,h,classes", [(20, 3, 2, 2), (30, 3, 3, 2), (40, 3, 4, 4), (25, 3, 1, 1)]
+    )
+    def test_three_element_repno_bytes(self, q, k, h, classes):
+        # k = 3 evaluates one class per plane of degree h + 1, as the census
+        # does (two planes meet only at 0), where the walk classified 12,
+        # 14, 28 and 12 patterns
+        verdict = verify_repno(q, k, h)
+        assert verdict.instances > 0
+        assert verdict.work == {"patterns_classified": classes, "profiles": classes, "reused": 0}
         assert verdict.to_json() == plain_repno(q, k, h).to_json()
 
     @pytest.mark.parametrize("q,h,sample", [(30, 2, 5), (20, 3, 40), (20, 3, 500)])
@@ -351,16 +362,15 @@ class TestCandidateSource:
         assert verify_repno(q, 4, h).to_json() == repno
 
     def test_plane_representative_must_show_its_pair(self, monkeypatch):
-        # a one-plane representative whose profile shows a second collision
+        # a one-plane representative whose scan shows a second collision
         # breaks the rule every one-plane point is counted by
-        real = verifier._profile
+        real = census._collision_scan
 
         def extra_collision(elems, h):
-            profile = real(elems, h)
-            extra = Collision(0, profile.collisions[0].vectors)
-            return dataclasses.replace(profile, collisions=profile.collisions + (extra,))
+            size, groups = real(elems, h)
+            return size, {**groups, 0: next(iter(groups.values()))}
 
-        monkeypatch.setattr(verifier, "_profile", extra_collision)
+        monkeypatch.setattr(census, "_collision_scan", extra_collision)
         with pytest.raises(InvariantError, match=r"are not the one pair"):
             verify_repno(20, 4, 2)
 
@@ -372,7 +382,9 @@ class TestCandidateSource:
             return planes, tuple((u, weight, lowest + 1) for u, weight, lowest in lines)
 
         monkeypatch.setattr(verifier, "_plane_classes", one_degree_up)
-        with pytest.raises(InvariantError, match=r"does not first collide at fold 4"):
+        # the directions of lowest degree 3 now claim 4: census._plane_shard
+        # finds their first collision at fold 3
+        with pytest.raises(InvariantError, match=r"lowest relation plane has degree 4"):
             verify_ortho(30, 3)
 
 
@@ -467,7 +479,7 @@ class TestSharedClassification:
         class Interrupted(Exception):
             pass
 
-        real, calls = engine._collision_scan, itertools.count()
+        real, calls = census._collision_scan, itertools.count()
 
         def interrupted(elems, h):
             if next(calls) == 10:
@@ -475,7 +487,7 @@ class TestSharedClassification:
             return real(elems, h)
 
         assert verify_repno(16, 4, 2).work["profiles"] == 26
-        monkeypatch.setattr(engine, "_collision_scan", interrupted)
+        monkeypatch.setattr(census, "_collision_scan", interrupted)
         with pytest.raises(Interrupted):
             verify_repno(20, 4, 2)
         monkeypatch.undo()
@@ -527,67 +539,68 @@ def _assert_same_verdict(verdict, oracle):
     assert same_bytes, "verdicts differ outside their violation lists"
 
 
-def _first_vector_twice(elems, h, real=verifier._profile):
-    # the profile whose first collision also lists its first vector again,
-    # which overlaps itself; every profile a sweep or a plain sweep takes
-    # comes from verifier._profile
-    profile = real(elems, h)
-    first, *rest = profile.collisions
-    doubled = Collision(first.n, first.vectors + first.vectors[:1])
-    return dataclasses.replace(profile, collisions=(doubled, *rest))
+def _first_vector_twice(elems, h, real=census._collision_scan):
+    # the scan whose every colliding group also lists its first composition
+    # again, which overlaps itself; every scan a sweep or a plain sweep
+    # takes comes from census._collision_scan
+    size, groups = real(elems, h)
+    return size, {n: idxs + idxs[:1] for n, idxs in groups.items()}
 
 
 class TestFaultInjection:
     """Faults that make every qualifying set violate: the pattern sweep must
     then report exactly what the plain sweep reports."""
 
-    @pytest.mark.parametrize("q,k,h", [(20, 4, 2), (16, 5, 2)])
+    @pytest.mark.parametrize("q,k,h", [(20, 4, 2), (16, 5, 2), (20, 3, 2)])
     def test_rep_bound_of_one(self, q, k, h, monkeypatch):
-        monkeypatch.setattr(verifier, "_rep_bound", lambda k: 1)
+        monkeypatch.setattr(census, "_rep_bound", lambda k: 1)
         verdict = verify_repno(q, k, h)
         assert verdict.params["bound"] == 1
         _assert_same_verdict(verdict, plain_repno(q, k, h))
         _assert_explicit_violations(verdict)
 
     def test_overlapping_vector_pair(self, monkeypatch):
-        monkeypatch.setattr(verifier, "_profile", _first_vector_twice)
+        monkeypatch.setattr(census, "_collision_scan", _first_vector_twice)
         verdict = verify_ortho(20, 2)
         _assert_same_verdict(verdict, plain_ortho(20, 2))
         _assert_explicit_violations(verdict)
         _assert_same_verdict(verify_ortho(20, 3, sample=40), plain_ortho(20, 3, sample=40))
 
     def test_patch_after_a_warm_classification(self, monkeypatch):
-        # the class profiles of the last (q, h) are keyed on nothing but
-        # (q, h), so a patch of _profile clears them on the way in, and
-        # again on the way out so the patch's profiles do not outlive it;
-        # the patched classes violate, so the sweep walks every pattern
+        # the class tally of the last (q, k, h) is keyed on nothing but
+        # (q, k, h), so a patch of the scan clears it on the way in, and
+        # again on the way out so the patch's tally does not outlive it;
+        # the patched classes violate and name their own subsets, with no
+        # walk
         assert verify_ortho(20, 2).passed
-        verifier._class_profiles.cache_clear()
-        monkeypatch.setattr(verifier, "_profile", _first_vector_twice)
+        verifier._class_tally.cache_clear()
+        monkeypatch.setattr(census, "_collision_scan", _first_vector_twice)
         verdict = verify_ortho(20, 2)
         assert not verdict.passed
-        # 26 classes, then the 437 candidates of the walk
-        assert verdict.work["patterns_classified"] == 26 + 437
-        assert verdict.work["reused"] == 0
+        assert verdict.work == {"patterns_classified": 26, "profiles": 26, "reused": 0}
         _assert_same_verdict(verdict, plain_ortho(20, 2))
         monkeypatch.undo()
-        verifier._class_profiles.cache_clear()
+        verifier._class_tally.cache_clear()
         verdict = verify_ortho(20, 2)
         assert verdict.passed
         assert verdict.work["reused"] == 0
 
 
 def test_kernel_and_enumerated_sizes_must_agree(monkeypatch):
-    # each qualifying pattern's fold-(h + 1) size has two routes, the kernel
-    # and the enumeration behind its profile; a disagreement is a bug, exit 4
-    real = verifier._profile
+    # each checked set's fold-(h + 1) size has two routes, the kernel and
+    # the collision scan; a disagreement is a bug, exit 4, on a class and
+    # on a walked pattern
+    real = census._collision_scan
 
     def one_too_large(elems, h):
-        profile = real(elems, h)
-        return dataclasses.replace(profile, size=profile.size + 1)
+        size, groups = real(elems, h)
+        return size + 1, groups
 
-    monkeypatch.setattr(verifier, "_profile", one_too_large)
-    message = r"kernel size 17 != enumerated size 18 at fold 3 of \(1, 2, 4, 8\)"
+    monkeypatch.setattr(census, "_collision_scan", one_too_large)
+    message = r"kernel size 19 != enumerated size 20 at fold 3 of \(0, 1, 6, 9\)"
     with pytest.raises(InvariantError, match=message):
         verify_ortho(20, 2)
+    message = r"kernel size 17 != enumerated size 18 at fold 3 of \(1, 2, 4, 8\)"
+    with pytest.raises(InvariantError, match=message):
+        verify_ortho(20, 2, sample=5)
     assert cli.main(["verify", "ortho", "--q", "20", "--h", "2"]) == cli.EXIT_INVARIANT == 4
