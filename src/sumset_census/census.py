@@ -26,7 +26,9 @@ fold must be the lowest degree of its planes.  At k <= 3 there are none.
 The subsets on no plane are capped and add to the top bin of every fold.
 For k >= 5, where most colliding patterns lie on three or more planes, the
 census instead evaluates every gap pattern, one per mirror pair
-(_census_shard).  Each evaluation is counted once per subset it stands for.
+(_census_shard).  The full lemma sweeps of verifier read one of these
+tallies up to fold h + 1 (_order_tally), which decides the route for them
+too.  Each evaluation is counted once per subset it stands for.
 Violations name explicit subsets: when an evaluation violates, the
 translates it stands for are evaluated again only to collect theirs, and add
 nothing to the tallies.
@@ -48,6 +50,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 from .compositions import (
@@ -69,7 +72,7 @@ from .engine import (
     _relation_lines,
     first_deficit,
 )
-from .guards import InvariantError, require_subsets
+from .guards import DEFAULT_MAX_BITMAP_BITS, InvariantError, require_budget, require_subsets
 
 DEFAULT_STRONG_RATIO = 10.0
 
@@ -199,6 +202,7 @@ class _ShardTally:
     rep_profile: Counter
     capped: int
     subsets: int
+    evaluations: int
     violations: list[DeficitLadderViolation | RepBoundViolation | SupportOverlapViolation]
 
     @classmethod
@@ -210,6 +214,7 @@ class _ShardTally:
             rep_profile=Counter(),
             capped=0,
             subsets=0,
+            evaluations=0,
             violations=[],
         )
 
@@ -261,6 +266,7 @@ class _SetEvaluator:
         sizes = _fold_sizes(elems, self.h_cap)
         first = first_deficit(elems, sizes)
         if weight:
+            tally.evaluations += 1
             tally.subsets += weight
             for i, size in enumerate(sizes):
                 tally.hist[i][size] += weight
@@ -430,6 +436,26 @@ def _plane_shard(args: tuple[int, int, int, tuple, tuple]) -> _ShardTally:
     return tally
 
 
+@lru_cache(maxsize=1)
+def _order_tally(q: int, k: int, h: int) -> _ShardTally:
+    """The census's tally up to fold h + 1 that holds every k-subset of
+    [1..q] of B_h order exactly h, for the lemma sweeps.
+
+    For k <= 4 these subsets are the classes of degree h + 1 of
+    _plane_classes(q, k, h + 1): the planes of degree h + 1 and the
+    directions of lowest plane degree h + 1, all of B_h order h, read by
+    _plane_shard.  For k >= 5 it is _census_shard's pass over every gap
+    pattern, which also tallies the sets of lower order.  The last
+    (q, k, h) is kept, so the repno sweep after ortho evaluates nothing.
+    """
+    if k > 4:
+        return _census_shard((q, k, h + 1, 0, 1))
+    planes, lines = _plane_classes(q, k, h + 1)
+    planes = tuple(c for c in planes if c[1] == h + 1)
+    lines = tuple(c for c in lines if c[2] == h + 1)
+    return _plane_shard((q, k, h + 1, planes, lines))
+
+
 @dataclass(frozen=True)
 class CensusReport:
     """Merged result of one full census sweep.
@@ -588,6 +614,7 @@ def _merge_report(q: int, k: int, h_cap: int, tallies: list[_ShardTally]) -> Cen
         merged.rep_profile.update(t.rep_profile)
         merged.capped += t.capped
         merged.subsets += t.subsets
+        merged.evaluations += t.evaluations
         merged.violations.extend(t.violations)
     hist = merged.hist
 
@@ -671,6 +698,7 @@ def count_pair_solutions(
     r = tuple(a - b for a, b in zip(x[1:], y[1:]))
     if not restrict_bstar:
         return _plane_weight(r, q)
+    require_budget("sumset bitmap", degree * (q - 1) + 1, DEFAULT_MAX_BITMAP_BITS)
     count = 0
     for d in _plane_points(r, q):
         elems = (1,) + tuple(1 + e for e in d)

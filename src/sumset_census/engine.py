@@ -20,11 +20,11 @@ sums it touches, k * sum_{i<h} M(i, k), whatever the span.
 This module is the only home of the two fold kernels, the composition
 collision scan (_collision_scan) and the first-deficit rule (first_deficit).
 The census calls the unvalidated bitmap kernel and scan directly on the gap
-patterns it generates, whose spans stay below q.  The lemma sweeps call the
-unvalidated bodies of the public functions, _sizes (which picks the
-representation) and _profile, on the classes and candidates they take,
-having checked the budgets at the start of every sweep; every other caller
-goes through the validating public functions.
+patterns it generates, whose spans stay below q.  A sampled lemma sweep
+calls _sizes, the unvalidated body of sumset_sizes (which picks the
+representation), on the gap patterns it takes, having checked the budgets
+at the start of every sweep; every other caller goes through the
+validating public functions.
 
 The relation-plane walk (_relation_planes, _plane_points) lists the gap
 patterns on which a given disjoint-support relation x . A == y . A holds,
@@ -32,7 +32,7 @@ along arithmetic progressions (_plane_progressions) that _plane_weight sums
 in closed form, without the walk.  _relation_lines lists, for 4-sets, the
 directions where two planes meet, which hold every pattern on more than one
 plane, with the planes through each.  From both, _plane_classes builds the
-table the census and the full k = 4 lemma sweeps read: one class per plane
+table the census and the full k <= 4 lemma sweeps read: one class per plane
 and per direction, each of one profile and a closed-form subset count.
 """
 

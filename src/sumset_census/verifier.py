@@ -7,48 +7,30 @@ evaluator, census._SetEvaluator, on the sets of B_h order exactly h: its
 collision scan at fold h + 1 must give the kernel's size and a collision
 (InvariantError otherwise), and it names every colliding group over the
 representation bound or with overlapping supports; a sweep keeps the
-violations of its own kind, sorted, which is subset enumeration order.
-These sweeps are not an independent route to the census's facts; the
-per-subset sweeps of tests/oracles.py are, and the sweeps must match them
-byte for byte.
+violations of its own kind at order h, sorted, which is subset enumeration
+order.  These sweeps are not an independent route to the census's facts;
+the per-subset sweeps of tests/oracles.py are, and the sweeps must match
+them byte for byte.
 
-A full sweep at k <= 4 reads the classes of engine._plane_classes at
-h_cap = h + 1 of degree h + 1 through census._plane_shard, as the census
-does.  A set of B_h order exactly h is either a one-plane point of a plane
-of degree h + 1, whose one collision at fold h + 1 is the plane's pair
-(v+, v-), or, at k = 4, a dilate t*u of a direction u of lowest plane
-degree h + 1, or its mirror, with u's collisions since h(tA) = t*hA.  So
-each class is evaluated once, on one representative, and the instances are
-the tally's count of order h; a violating class names its subsets through
-the translates _plane_shard evaluates again.  The last (q, k, h) is kept,
-so repno after ortho evaluates nothing again.
+A full sweep reads the census's own tally up to fold h + 1,
+census._order_tally, which evaluates each class of subsets once, on one
+representative, as the census does, and names the subsets of a violating
+class; the instances are its count of order h.  The last (q, k, h) is
+kept, so repno after ortho evaluates nothing again.
 
-The walk, which sampled and k >= 5 sweeps take, classifies only the
-candidate patterns that can have B_h order exactly h: those on a relation
-plane of degree h + 1 (engine's _relation_planes and _plane_points), in
-order, as far as the sweep needs.  Nothing qualifying is lost.  A set
-whose first deficit is at fold h + 1 has a collision x . A == y . A there;
-cancelling the common part of x and y leaves a relation of degree at most
-h + 1, and of degree exactly h + 1, since a lower one would be an earlier
-collision.  That relation is primitive: a multiple t*r' with t > 1 has t
-times the degree of r', so r' would be an earlier collision too.  So the
-pattern lies on one of the primitive planes walked, at every k.  The walk
-can add candidates but cannot drop a qualifying one, and every candidate is
-still classified through the size kernel and first_deficit and checked by
-the evaluator: the walk never decides a verdict.  It is the one source even
-where planes are dense, as at k = 5 at desk scale, and it costs more there
-than a pass over every pattern would; since the argument above holds at
-every k, a second source would buy only time.  Translating a set by c adds
-c*i to every i-fold sum and leaves its sizes and compositions alone, so the
-walk checks each pattern once, on the translate starting at 1, and counts
-every translate of it; it checks a translate on its own elements only when
-its pattern violated, so violations name explicit subsets.  The walk calls
-the unchecked engine body _sizes, which is safe because every pattern is
-built sorted, distinct and positive, and the budgets are checked at the
-start of every sweep; code that rebinds what a sweep reads clears
-_class_tally first.  ddp needs no patterns: its dot products are the sums
-of h + 1 elements of [1..q] with at most four distinct values, built by a
-four-round DP over values (_dot_products).
+A sampled sweep walks the gap patterns, the subsets starting at 1, in
+subset enumeration order, classifies each through the size kernel and
+first_deficit only as far as its sample needs, and checks each qualifying
+one with the evaluator.  Translating a set by c adds c*i to every i-fold
+sum and leaves its sizes and compositions alone, so when the patterns run
+out first the walk counts their translates, checking a translate on its
+own elements only when its pattern violated, so violations name explicit
+subsets.  The walk calls the unchecked engine body _sizes, which is safe
+because every pattern is built sorted, distinct and positive, and the
+budgets are checked at the start of every sweep; code that rebinds what a
+sweep reads clears census._order_tally first.  ddp needs no patterns: its
+dot products are the sums of h + 1 elements of [1..q] with at most four
+distinct values, built by a four-round DP over values (_dot_products).
 
 Verified statements, at desk scale:
   ortho      colliding vector pairs at the first colliding order have
@@ -64,7 +46,7 @@ Verified statements, at desk scale:
 
 from __future__ import annotations
 
-import functools
+import itertools
 import json
 import math
 import time
@@ -77,13 +59,9 @@ from .census import (
     RepBoundViolation,
     SupportOverlapViolation,
     _SetEvaluator,
-    _ShardTally,
-    _plane_shard,
+    _order_tally,
 )
 from .engine import (
-    _plane_classes,
-    _plane_points,
-    _relation_planes,
     _sizes,
     first_deficit,
     profile_naive,  # not called here; perfbench's tracer test looks it up on this module
@@ -169,27 +147,15 @@ class DotProductRange:
     achievable: frozenset[int]
 
 
-@functools.lru_cache(maxsize=1)
-def _class_tally(q: int, k: int, h: int) -> tuple[int, _ShardTally]:
-    """(classes, tally) of census._plane_shard over the classes of k-subsets
-    of [1..q] with B_h order exactly h, k <= 4: the planes of degree h + 1 and
-    the directions of lowest plane degree h + 1 of _plane_classes(q, k, h + 1)
-    (see the module docstring).  The last (q, k, h) is kept, for the repno
-    sweep that follows ortho."""
-    planes, lines = _plane_classes(q, k, h + 1)
-    planes = tuple(c for c in planes if c[1] == h + 1)
-    lines = tuple(c for c in lines if c[2] == h + 1)
-    return len(planes) + len(lines), _plane_shard((q, k, h + 1, planes, lines))
-
-
 def _violations_by_set(
     q: int, k: int, h: int, kind: type, sample: int | None = None
 ) -> tuple[int, list, dict]:
-    """(instances, violations of kind, work) over the k-subsets of [1..q]
-    of B_h order exactly h, or their first sample: from _class_tally for a
-    full sweep at k <= 4, from _walk otherwise.  Raises ValueError when there
-    is no such subset, so an empty sweep cannot pass.  work counts what this
-    call did: patterns classified, sets checked, classes reused."""
+    """(instances, violations of kind at order h, work) over the k-subsets
+    of [1..q] of B_h order exactly h, or their first sample: from
+    census._order_tally for a full sweep, from _walk for a sample.  Raises
+    ValueError when there is no such subset, so an empty sweep cannot pass.
+    work counts what this call did: patterns classified, sets checked,
+    evaluations reused."""
     # the unchecked engine bodies get their budgets checked on every sweep:
     # every pattern and translate lies in [1..q] and is scanned at fold h + 1
     require_compositions(
@@ -197,35 +163,35 @@ def _violations_by_set(
     )
     require_budget("sumset bitmap", (h + 1) * (q - 1) + 1, DEFAULT_MAX_BITMAP_BITS)
     work = {"patterns_classified": 0, "profiles": 0, "reused": 0}
-    if k <= 4 and sample is None:
-        misses = _class_tally.cache_info().misses
-        classes, tally = _class_tally(q, k, h)
-        if _class_tally.cache_info().misses > misses:
-            work["patterns_classified"] = work["profiles"] = classes
+    if sample is None:
+        misses = _order_tally.cache_info().misses
+        tally = _order_tally(q, k, h)
+        if _order_tally.cache_info().misses > misses:
+            work["patterns_classified"] = work["profiles"] = tally.evaluations
         else:
-            work["reused"] = classes
+            work["reused"] = tally.evaluations
         instances, violations = tally.bstar[h], tally.violations
     else:
-        instances, violations = _walk(q, k, h, sample or math.inf, work)
+        instances, violations = _walk(q, k, h, sample, work)
     if not instances:
         raise ValueError(
             f"no {k}-subset of [1..{q}] has B_h order exactly {h}: nothing to check"
         )
-    return instances, sorted(v for v in violations if isinstance(v, kind)), work
+    mine = sorted(v for v in violations if isinstance(v, kind) and v.h_star == h)
+    return instances, mine, work
 
 
-def _walk(q: int, k: int, h: int, limit: float, work: dict) -> tuple[int, list]:
+def _walk(q: int, k: int, h: int, limit: int, work: dict) -> tuple[int, list]:
     """(instances, violations) of the evaluator over the first limit subsets
     of B_h order exactly h, in subset enumeration order.
 
-    The subsets starting at 1, the gap patterns, are the points of the
-    relation planes of degree h + 1 whose first deficit is at fold h + 1,
-    classified as far as this sweep needs and each checked once, on itself.
-    The subsets starting at c + 1 are the translates by c of the patterns
-    with largest element at most q - c, met in the same order, with the
-    same sizes.  When no pattern violated they are only counted; otherwise a
-    later pass walks the qualifying patterns again and checks a translate
-    on its own elements only when its pattern violated.
+    The subsets starting at 1, the gap patterns, are classified in that
+    order as far as this sweep needs, and each qualifying one is checked
+    once, on itself.  The subsets starting at c + 1 are the translates by c
+    of the patterns with largest element at most q - c, met in the same
+    order, with the same sizes.  When no pattern violated they are only
+    counted; otherwise a later pass walks the qualifying patterns again and
+    checks a translate on its own elements only when its pattern violated.
     """
     evaluator = _SetEvaluator(k, h + 1)
 
@@ -233,14 +199,11 @@ def _walk(q: int, k: int, h: int, limit: float, work: dict) -> tuple[int, list]:
         work["profiles"] += 1
         return evaluator.collisions(elems, sizes, h + 1)[1]
 
-    points: set[tuple[int, ...]] = set()
-    for r in _relation_planes(k, h + 1):
-        points.update(_plane_points(r, q))
     instances = 0
     violations: list = []
     qualifying: list[tuple[tuple[int, ...], list[int]]] = []
     violated: set[tuple[int, ...]] = set()
-    for pattern in ((1,) + tuple(1 + d for d in point) for point in sorted(points)):
+    for pattern in ((1,) + c for c in itertools.combinations(range(2, q + 1), k - 1)):
         work["patterns_classified"] += 1
         sizes = _sizes(pattern, h + 1)
         if first_deficit(pattern, sizes) != h + 1:

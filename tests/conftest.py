@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from sumset_census import engine, verifier
+from sumset_census import census, engine
 
 # tests import the shared oracles module by plain name
 sys.path.insert(0, str(Path(__file__).parent))
@@ -12,15 +12,15 @@ sys.path.insert(0, str(Path(__file__).parent))
 CACHES = (
     engine._plane_weight,
     engine._plane_classes,
-    verifier._class_tally,
+    census._order_tally,
 )
 
 
 @pytest.fixture(autouse=True)
 def cold_caches():
-    """Every test starts and ends with no plane weight, class table or class
-    tally held, so a patched engine, census or verifier binding is never
-    answered from a cache and leaves none of its results behind."""
+    """Every test starts and ends with no plane weight, class table or
+    order tally held, so a patched engine, census or verifier binding is
+    never answered from a cache and leaves none of its results behind."""
     for cache in CACHES:
         cache.cache_clear()
     yield

@@ -488,6 +488,21 @@ class TestCountPairSolutions:
             count_pair_solutions((2, 0, 0, 1), (0, 2, 1, 0), 50)
         assert excinfo.value.required == math.comb(50, 4)
 
+    def test_restricted_bitmap_budget(self, monkeypatch):
+        # the restricted count folds windows of degree * (q - 1) + 1 bits;
+        # C(843, 3) passes the subset budget, so the bitmap budget must
+        # refuse 240,000 * 842 + 1 bits before any fold
+        def no_fold(elems, h):
+            raise AssertionError(f"folded {elems} past the bitmap budget")
+
+        monkeypatch.setattr(census, "_fold_sizes", no_fold)
+        x, y = (0, 240_000, 0), (120_000, 0, 120_000)
+        with pytest.raises(BudgetExceededError) as excinfo:
+            count_pair_solutions(x, y, 843, restrict_bstar=True)
+        assert excinfo.value.required == 202_080_001
+        argv = ["pairs", "--x", "0,240000,0", "--y", "120000,0,120000", "--q", "843"]
+        assert cli.main(argv + ["--restrict-bstar"]) == cli.EXIT_BUDGET == 3
+
     @pytest.mark.parametrize(
         "x,y",
         [

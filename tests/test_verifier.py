@@ -22,6 +22,7 @@ from sumset_census.verifier import DdpViolation, RealizedTotal
 
 from oracles import (
     composition_count,
+    folded_sizes,
     order_of,
     plain_ddp_achievable,
     plain_ortho,
@@ -297,7 +298,7 @@ class TestPatternSweepMatchesPlainSweep:
         assert verdict.to_json() == plain_verdict.to_json()
         assert dot_range == plain_range
 
-    @pytest.mark.parametrize("q,k,h", [(16, 5, 2), (24, 5, 3), (20, 5, 2)])
+    @pytest.mark.parametrize("q,k,h", [(16, 5, 2), (24, 5, 3), (20, 5, 2), (18, 6, 2)])
     def test_five_element_repno_bytes(self, q, k, h):
         verdict = verify_repno(q, k, h)
         assert verdict.instances > 0
@@ -345,15 +346,16 @@ class TestCandidateSource:
             "profiles": 26,
             "reused": 0,
         }
-        # a sample walks the candidates and stops classifying at its last
-        # instance
+        # a sample walks the gap patterns in order and stops classifying at
+        # its last instance
         assert verify_ortho(30, 2, sample=5).work == {
-            "patterns_classified": 12,
+            "patterns_classified": 35,
             "profiles": 5,
             "reused": 0,
         }
-        # k = 5 walks its dense planes: 3,603 of the 3,876 patterns
-        assert verify_repno(20, 5, 2).work["patterns_classified"] == 3603
+        # k = 5 reads the census's per-pattern pass: one evaluation per
+        # mirror pair of the 3,876 patterns
+        assert verify_repno(20, 5, 2).work["patterns_classified"] == 1956
 
     @pytest.mark.parametrize("q,h", [(60, 5), (25, 3)])
     def test_class_route_verdict_bytes(self, q, h):
@@ -375,13 +377,13 @@ class TestCandidateSource:
             verify_repno(20, 4, 2)
 
     def test_classes_must_first_collide_at_h_plus_1(self, monkeypatch):
-        real = verifier._plane_classes
+        real = census._plane_classes
 
         def one_degree_up(q, k, h_cap):
             planes, lines = real(q, k, h_cap)
             return planes, tuple((u, weight, lowest + 1) for u, weight, lowest in lines)
 
-        monkeypatch.setattr(verifier, "_plane_classes", one_degree_up)
+        monkeypatch.setattr(census, "_plane_classes", one_degree_up)
         # the directions of lowest degree 3 now claim 4: census._plane_shard
         # finds their first collision at fold 3
         with pytest.raises(InvariantError, match=r"lowest relation plane has degree 4"):
@@ -410,7 +412,7 @@ class TestSharedClassification:
 
     def test_sample_then_full_sweeps(self):
         sampled = verify_ortho(30, 2, sample=5)
-        assert sampled.work == {"patterns_classified": 12, "profiles": 5, "reused": 0}
+        assert sampled.work == {"patterns_classified": 35, "profiles": 5, "reused": 0}
         assert sampled.to_json() == plain_ortho(30, 2, sample=5).to_json()
         ortho = verify_ortho(30, 2)
         assert ortho.work == {"patterns_classified": 26, "profiles": 26, "reused": 0}
@@ -419,18 +421,33 @@ class TestSharedClassification:
         assert repno.work == {"patterns_classified": 0, "profiles": 0, "reused": 26}
         assert repno.to_json() == plain_repno(30, 4, 2).to_json()
         sampled = verify_ortho(20, 2, sample=5)
-        assert sampled.work == {"patterns_classified": 12, "profiles": 5, "reused": 0}
+        assert sampled.work == {"patterns_classified": 25, "profiles": 5, "reused": 0}
         assert sampled.to_json() == plain_ortho(20, 2, sample=5).to_json()
 
     def test_sampled_sweeps_stay_lazy(self):
         # a sample classifies only as far as its last instance, cold or
-        # after a full sweep
+        # after a full sweep: up to that instance's place among the gap
+        # patterns (1,) + c in subset enumeration order
+        def last_place(q, h, sample):
+            found = 0
+            for place, c in enumerate(itertools.combinations(range(2, q + 1), 3), 1):
+                sizes = folded_sizes((1,) + c, h + 1)
+                # full at fold h, so at every fold below it, and short at h + 1
+                full_at_h = sizes[h - 1] == composition_count(h, 4)
+                found += full_at_h and sizes[h] < composition_count(h + 1, 4)
+                if found == sample:
+                    return place
+
         for full in (None, 20, 30):
             if full:
                 verify_ortho(full, 2)
             sampled = verify_ortho(30, 2, sample=5)
-            assert sampled.work == {"patterns_classified": 12, "profiles": 5, "reused": 0}
+            expected = last_place(30, 2, 5)
+            assert sampled.work == {"patterns_classified": expected, "profiles": 5, "reused": 0}
             assert sampled.to_json() == plain_ortho(30, 2, sample=5).to_json()
+        sampled = verify_ortho(60, 4, sample=5)
+        assert sampled.work["patterns_classified"] == last_place(60, 4, 5) == 188
+        assert sampled.to_json() == plain_ortho(60, 4, sample=5).to_json()
 
     def test_full_then_sampled_sweeps(self):
         assert verify_ortho(20, 3).to_json() == plain_ortho(20, 3).to_json()
@@ -551,8 +568,10 @@ class TestFaultInjection:
     """Faults that make every qualifying set violate: the pattern sweep must
     then report exactly what the plain sweep reports."""
 
-    @pytest.mark.parametrize("q,k,h", [(20, 4, 2), (16, 5, 2), (20, 3, 2)])
+    @pytest.mark.parametrize("q,k,h", [(20, 4, 2), (16, 5, 2), (20, 3, 2), (20, 6, 2)])
     def test_rep_bound_of_one(self, q, k, h, monkeypatch):
+        # at k >= 5 the census's pass also holds the violating sets of lower
+        # order, which the sweep must drop
         monkeypatch.setattr(census, "_rep_bound", lambda k: 1)
         verdict = verify_repno(q, k, h)
         assert verdict.params["bound"] == 1
@@ -567,20 +586,20 @@ class TestFaultInjection:
         _assert_same_verdict(verify_ortho(20, 3, sample=40), plain_ortho(20, 3, sample=40))
 
     def test_patch_after_a_warm_classification(self, monkeypatch):
-        # the class tally of the last (q, k, h) is keyed on nothing but
+        # the order tally of the last (q, k, h) is keyed on nothing but
         # (q, k, h), so a patch of the scan clears it on the way in, and
         # again on the way out so the patch's tally does not outlive it;
         # the patched classes violate and name their own subsets, with no
         # walk
         assert verify_ortho(20, 2).passed
-        verifier._class_tally.cache_clear()
+        census._order_tally.cache_clear()
         monkeypatch.setattr(census, "_collision_scan", _first_vector_twice)
         verdict = verify_ortho(20, 2)
         assert not verdict.passed
         assert verdict.work == {"patterns_classified": 26, "profiles": 26, "reused": 0}
         _assert_same_verdict(verdict, plain_ortho(20, 2))
         monkeypatch.undo()
-        verifier._class_tally.cache_clear()
+        census._order_tally.cache_clear()
         verdict = verify_ortho(20, 2)
         assert verdict.passed
         assert verdict.work["reused"] == 0
