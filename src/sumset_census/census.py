@@ -49,7 +49,6 @@ import itertools
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
@@ -77,8 +76,7 @@ from .guards import DEFAULT_MAX_BITMAP_BITS, InvariantError, require_budget, req
 DEFAULT_STRONG_RATIO = 10.0
 
 
-@dataclass(frozen=True)
-class SizeHistogram:
+class SizeHistogram(NamedTuple):
     """Subset counts by h-fold sumset size; totals C(q,k) for a full census."""
 
     h: int
@@ -118,8 +116,7 @@ class SupportOverlapViolation(NamedTuple):
     y: Composition
 
 
-@dataclass(frozen=True)
-class GapReport:
+class GapReport(NamedTuple):
     """Triangular-gap ladder read off one k=4 size histogram.
 
     ladder[j] = multiset_count(h,4) - tetrahedral(j) are the predicted
@@ -192,31 +189,18 @@ def detect_gaps(hist: SizeHistogram, h: int) -> GapReport:
     )
 
 
-@dataclass
 class _ShardTally:
-    """Raw accumulators for one shard; merged by addition."""
+    """Raw accumulators for one shard, empty up to fold h_cap; merged by addition."""
 
-    hist: list[Counter]
-    bstar: Counter
-    exceptional: Counter
-    rep_profile: Counter
-    capped: int
-    subsets: int
-    evaluations: int
-    violations: list[DeficitLadderViolation | RepBoundViolation | SupportOverlapViolation]
-
-    @classmethod
-    def empty(cls, h_cap: int) -> "_ShardTally":
-        return cls(
-            hist=[Counter() for _ in range(h_cap)],
-            bstar=Counter(),
-            exceptional=Counter(),
-            rep_profile=Counter(),
-            capped=0,
-            subsets=0,
-            evaluations=0,
-            violations=[],
-        )
+    def __init__(self, h_cap: int):
+        self.hist: list[Counter] = [Counter() for _ in range(h_cap)]
+        self.bstar: Counter = Counter()
+        self.exceptional: Counter = Counter()
+        self.rep_profile: Counter = Counter()
+        self.capped = 0
+        self.subsets = 0
+        self.evaluations = 0
+        self.violations: list = []  # ladder, rep-bound and support violations
 
 
 class _Evaluation(NamedTuple):
@@ -351,7 +335,7 @@ def _census_shard(args: tuple[int, int, int, int, int]) -> _ShardTally:
     """
     q, k, h_cap, shard_index, shards = args
     evaluator = _SetEvaluator(k, h_cap)
-    tally = _ShardTally.empty(h_cap)
+    tally = _ShardTally(h_cap)
     for span in range(k - 1, q):
         if span % shards != shard_index:
             continue
@@ -399,7 +383,7 @@ def _plane_shard(args: tuple[int, int, int, tuple, tuple]) -> _ShardTally:
     """
     q, k, h_cap, planes, lines = args
     evaluator = _SetEvaluator(k, h_cap)
-    tally = _ShardTally.empty(h_cap)
+    tally = _ShardTally(h_cap)
     for r, w, representative, weight in planes:
         found = evaluator.evaluate((0,) + representative, tally, weight)
         closed = _closed_form(k, w, h_cap)
@@ -456,8 +440,7 @@ def _order_tally(q: int, k: int, h: int) -> _ShardTally:
     return _plane_shard((q, k, h + 1, planes, lines))
 
 
-@dataclass(frozen=True)
-class CensusReport:
+class CensusReport(NamedTuple):
     """Merged result of one full census sweep.
 
     bstar_counts[h] is the number of subsets whose B_h order is exactly h
@@ -477,9 +460,9 @@ class CensusReport:
     capped: int
     gaps: dict[int, GapReport]
     rep_profiles: dict[int, dict[int, int]]
-    ladder_violations: tuple[DeficitLadderViolation, ...] = field(default=())
-    rep_violations: tuple[RepBoundViolation, ...] = field(default=())
-    support_violations: tuple[SupportOverlapViolation, ...] = field(default=())
+    ladder_violations: tuple[DeficitLadderViolation, ...] = ()
+    rep_violations: tuple[RepBoundViolation, ...] = ()
+    support_violations: tuple[SupportOverlapViolation, ...] = ()
 
     @property
     def total_subsets(self) -> int:
@@ -584,7 +567,7 @@ def run_census(
     shard_args = [(q, k, h_cap, planes[s::shards], lines[s::shards]) for s in range(shards)]
     tallies = _run_shards(_plane_shard, shard_args, workers)
     if capped:
-        tally = _ShardTally.empty(h_cap)
+        tally = _ShardTally(h_cap)
         tally.subsets = tally.capped = capped
         for i in range(h_cap):
             tally.hist[i][multiset_count(i + 1, k)] = capped
@@ -605,7 +588,7 @@ def _run_shards(shard, shard_args: list, workers: int) -> list[_ShardTally]:
 def _merge_report(q: int, k: int, h_cap: int, tallies: list[_ShardTally]) -> CensusReport:
     """Add shard tallies, check their mass, and build the report."""
     n_subsets = math.comb(q, k)
-    merged = _ShardTally.empty(h_cap)
+    merged = _ShardTally(h_cap)
     for t in tallies:
         for i in range(h_cap):
             merged.hist[i].update(t.hist[i])

@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 a checked statement was violated, 2 usage error,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -96,7 +95,7 @@ def cmd_gaps(args: argparse.Namespace) -> int:
         workers=args.workers,
     )
     gap = report.gaps[args.h]
-    payload = {"q": args.q, "k": 4, **dataclasses.asdict(gap)}
+    payload = {"q": args.q, "k": 4, **gap._asdict()}
     payload["ratios"] = [None if r is None else round(r, 6) for r in gap.ratios]
     text = json.dumps(payload, indent=2) + "\n"
     sys.stdout.write(text)

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .guards import require_compositions
 
@@ -89,8 +88,7 @@ def _support_mask(x: Composition) -> int:
     return sum(1 << i for i, v in enumerate(x) if v)
 
 
-@dataclass(frozen=True)
-class PairCensus:
+class PairCensus(NamedTuple):
     """Counts of unordered disjoint-support pairs among compositions of h."""
 
     h: int

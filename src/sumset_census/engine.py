@@ -41,7 +41,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
@@ -78,8 +77,7 @@ class Collision(NamedTuple):
     vectors: tuple[Composition, ...]
 
 
-@dataclass(frozen=True)
-class SetVector:
+class SetVector(NamedTuple("SetVector", [("elements", tuple[int, ...]), ("q", int)])):
     """A k-element subset of [1..q] held as a strictly increasing tuple.
 
     Construction rejects degenerate input: fewer than two elements, elements
@@ -87,17 +85,19 @@ class SetVector:
     refuses (non-integers, repeats, elements below 1).
     """
 
-    elements: tuple[int, ...]
-    q: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        elems = self.elements
-        if len(elems) < 2:
-            raise ValueError(f"a set vector needs at least 2 elements, got {elems}")
-        if elements_of(elems) != tuple(elems):
-            raise ValueError(f"elements must be strictly increasing, got {elems}")
-        if elems[-1] > self.q:
-            raise ValueError(f"largest element {elems[-1]} exceeds bound q={self.q}")
+    def __new__(cls, elements: tuple[int, ...], q: int) -> "SetVector":
+        if len(elements) < 2:
+            raise ValueError(f"a set vector needs at least 2 elements, got {elements}")
+        if elements_of(elements) != tuple(elements):
+            raise ValueError(f"elements must be strictly increasing, got {elements}")
+        if elements[-1] > q:
+            raise ValueError(f"largest element {elements[-1]} exceeds bound q={q}")
+        return super().__new__(cls, elements, q)
+
+    # _replace builds through _make, which would skip the checks of __new__
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @classmethod
     def from_values(cls, values: Iterable[int], q: int | None = None) -> "SetVector":
@@ -132,8 +132,7 @@ def elements_of(a: SetLike) -> tuple[int, ...]:
     return elems
 
 
-@dataclass(frozen=True, slots=True)
-class SumsetProfile:
+class SumsetProfile(NamedTuple):
     """Exact description of one h-fold sumset.
 
     size + sum of (r-1) over all collision multiplicities == multiset_count,
@@ -350,8 +349,11 @@ def _plane_progressions(
     (d_{j-1}, d_j) steps from first to last by step, along the residue class
     of d_{j-1} that makes d_j integral, within the interval where
     d_{j-1} < d_j and the coordinates after d_j, which are free, still fit
-    below q.  Prefixes come in lexicographic order, and each progression
-    ascends in d_{j-1}.  r must not be all zero.
+    below q.  The last prefix coordinate p runs only where some real
+    d_{j-1} meets those four bounds: each is linear in d_{j-1} and p, so
+    pairing every lower bound on d_{j-1} with every upper one bounds p once
+    per head, the coordinates before p.  Prefixes come in lexicographic
+    order, and each progression ascends in d_{j-1}.  r must not be all zero.
     """
     if min(r) >= 0 or max(r) <= 0:
         return  # a nonzero r of one sign has r . d != 0 for every d > 0
@@ -363,7 +365,7 @@ def _plane_progressions(
     g = math.gcd(r_s, r_j)
     step = (r_j // g, -r_s // g)
     inverse = pow(r_s // g, -1, step[0])
-    for prefix in itertools.combinations(range(1, top - 1), j - 1):
+    for prefix in _plane_prefixes(prefix_r, r_s, r_j, top):
         c = sum(map(operator.mul, prefix_r, prefix))
         if c % g:
             continue
@@ -374,6 +376,42 @@ def _plane_progressions(
         if lo <= hi:
             hi -= (hi - lo) % step[0]
             yield prefix, (lo, -(c + r_s * lo) // r_j), (hi, -(c + r_s * hi) // r_j), step
+
+
+def _plane_prefixes(
+    prefix_r: Sequence[int], r_s: int, r_j: int, top: int
+) -> Iterator[tuple[int, ...]]:
+    """The prefixes of _plane_progressions in lexicographic order, each last
+    coordinate p limited to where some real d = d_{j-1} meets its bounds.
+
+    With c the head's share of r . d, the bounds are a * d >= e0 + e1 * p
+    for (a, e0, e1) in: d > p; d < top; d_j <= top; d_j > d.  A lower bound
+    (a > 0) and an upper one (b < 0) leave a d exactly when
+    (b * e1 - a * f1) * p >= a * f0 - b * e0, and a bound with a = 0 bounds
+    p on its own, so every prefix with a progression is kept.
+    """
+    if not prefix_r:
+        yield ()
+        return
+    r_p = prefix_r[-1]
+    for head in itertools.combinations(range(1, top - 2), len(prefix_r) - 1):
+        c = sum(map(operator.mul, prefix_r, head))
+        bounds = (
+            (1, 1, 1),
+            (-1, 1 - top, 0),
+            (r_s, -(c + r_j * top), -r_p),
+            (-(r_s + r_j), c + r_j, r_p),
+        )
+        lo, hi = head[-1] + 1 if head else 1, top - 2
+        for a, e0, e1 in bounds:
+            if a == 0:
+                lo, hi = _narrow(-e1, e0, lo, hi)
+            elif a > 0:
+                for b, f0, f1 in bounds:
+                    if b < 0:
+                        lo, hi = _narrow(b * e1 - a * f1, a * f0 - b * e0, lo, hi)
+        for p in range(lo, hi + 1):
+            yield head + (p,)
 
 
 def _plane_points(r: Sequence[int], q: int) -> Iterator[tuple[int, ...]]:
@@ -520,8 +558,7 @@ def profile_fast(a: SetLike, h: int) -> tuple[int, int]:
     return size, multiset_count(h, len(elems)) - size
 
 
-@dataclass(frozen=True)
-class BhClassification:
+class BhClassification(NamedTuple):
     """Largest verified h with hA collision-free, h_star >= 1 always.
 
     capped means no collision was found up to the scan cap, so h_star is only

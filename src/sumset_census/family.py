@@ -20,8 +20,7 @@ seed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .compositions import multiset_count, tetrahedral
 from .engine import (
@@ -35,18 +34,20 @@ from .engine import (
 from .guards import InvariantError
 
 
-@dataclass(frozen=True)
-class FamilyParams:
+class FamilyParams(NamedTuple("FamilyParams", [("h", int), ("q", int)])):
     """Target order h >= 2 and ambient bound q; ranges derive from these."""
 
-    h: int
-    q: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.h < 2:
-            raise ValueError(f"target order must be >= 2, got h={self.h}")
-        if self.q < 1:
-            raise ValueError(f"bound must be >= 1, got q={self.q}")
+    def __new__(cls, h: int, q: int) -> "FamilyParams":
+        if h < 2:
+            raise ValueError(f"target order must be >= 2, got h={h}")
+        if q < 1:
+            raise ValueError(f"bound must be >= 1, got q={q}")
+        return super().__new__(cls, h, q)
+
+    # _replace builds through _make, which would skip the checks of __new__
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def a_max(self) -> int:
@@ -118,8 +119,7 @@ def generate_family(
         yield member_at(params, i)
 
 
-@dataclass(frozen=True)
-class MemberVerification:
+class MemberVerification(NamedTuple):
     """Clause-by-clause verdict for one claimed family member.
 
     failures names every violated clause; an empty tuple means the member

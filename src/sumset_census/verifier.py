@@ -50,7 +50,6 @@ import itertools
 import json
 import math
 import time
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import census
@@ -74,8 +73,8 @@ from .guards import (
     require_subsets,
 )
 
-@dataclass(frozen=True)
-class LemmaVerdict:
+
+class LemmaVerdict(NamedTuple):
     """Outcome of one finite sweep; empty violations means the lemma held."""
 
     lemma: str
@@ -83,7 +82,7 @@ class LemmaVerdict:
     instances: int
     violations: tuple
     elapsed_s: float
-    work: dict = field(default_factory=dict)
+    work: dict
 
     @property
     def passed(self) -> bool:
@@ -130,8 +129,7 @@ class DdpViolation(NamedTuple):
     detail: str
 
 
-@dataclass(frozen=True)
-class DotProductRange:
+class DotProductRange(NamedTuple):
     """Achievable (h+1)-fold dot products over 4-subsets of [1..q].
 
     lo..hi is the claimed interval [5h .. hq]; min/max are the observed
@@ -372,6 +370,7 @@ def verify_ddp(q: int, h: int) -> tuple[LemmaVerdict, DotProductRange]:
         instances=hi - lo + 1,
         violations=tuple(violations),
         elapsed_s=time.perf_counter() - started,
+        work={},
     )
     dot_range = DotProductRange(
         h=h,
@@ -442,4 +441,5 @@ def verify_paircount(h_max: int) -> LemmaVerdict:
         instances=h_max,
         violations=tuple(violations),
         elapsed_s=time.perf_counter() - started,
+        work={},
     )

@@ -141,7 +141,7 @@ def plain_census_shard(q, k, h_cap, shard_index=0, shards=1):
         d: [sum(1 << i for i, v in enumerate(x) if v) for x in comps]
         for d, comps in comp_of.items()
     }
-    tally = census._ShardTally.empty(h_cap)
+    tally = census._ShardTally(h_cap)
     hist = tally.hist
     for top in range(k, q + 1):
         if top % shards != shard_index:
@@ -266,8 +266,8 @@ def plain_sweeps(q, k, h, sample=None):
     ortho_params = {"q": q, "h": h, "sample": 0 if sample is None else sample}
     repno_params = {"q": q, "k": k, "h": h, "bound": bound}
     return (
-        verifier.LemmaVerdict("ortho", ortho_params, examined, tuple(overlaps), 0.0),
-        verifier.LemmaVerdict("repno", repno_params, examined, tuple(excesses), 0.0),
+        verifier.LemmaVerdict("ortho", ortho_params, examined, tuple(overlaps), 0.0, {}),
+        verifier.LemmaVerdict("repno", repno_params, examined, tuple(excesses), 0.0, {}),
     )
 
 

@@ -341,17 +341,19 @@ class TestEntryPoints:
         assert public == set(names)
 
     def test_import_leaves_heavy_modules_out(self):
-        # the SVG escape and the process pool are stdlib modules that pull in
-        # much of the stdlib; importing the package must not load them
+        # the SVG escape, the process pool and dataclass code generation are
+        # stdlib modules that pull in much of the stdlib; importing the
+        # package or its command line must not load them
         heavy = ("xml.sax", "urllib.request", "http.client", "email",
-                 "concurrent.futures", "multiprocessing")
+                 "concurrent.futures", "multiprocessing", "dataclasses", "inspect")
         src = Path(__file__).resolve().parents[1] / "src"
-        code = (
-            f"import sys; sys.path.insert(0, {str(src)!r}); import sumset_census; "
-            f"print(sorted(m for m in {heavy!r} if m in sys.modules))"
-        )
-        result = subprocess.run(
-            [sys.executable, "-S", "-c", code], capture_output=True, text=True
-        )
-        assert result.returncode == 0, result.stderr
-        assert result.stdout == "[]\n"
+        for module in ("sumset_census", "sumset_census.cli"):
+            code = (
+                f"import sys; sys.path.insert(0, {str(src)!r}); import {module}; "
+                f"print(sorted(m for m in {heavy!r} if m in sys.modules))"
+            )
+            result = subprocess.run(
+                [sys.executable, "-S", "-c", code], capture_output=True, text=True
+            )
+            assert result.returncode == 0, result.stderr
+            assert result.stdout == "[]\n", module

@@ -490,6 +490,33 @@ class TestPlaneWeights:
         expected = sum(q - d[-1] for d in engine._plane_points(r, q))
         assert engine._plane_weight(r, q) == expected
 
+    @pytest.mark.parametrize(
+        "r,q",
+        [
+            # k = 4: one prefix coordinate running over a long range, with
+            # d_{j-1} + d_j bounded on its own (r_s = -r_j) or not bounded
+            # by d_j at all (r_s = 0)
+            ((1, 1, -1), 60),
+            ((2, 0, -1), 60),
+            ((2, 1, -1), 60),
+            ((3, -5, 2), 60),
+            # k = 5: two prefix coordinates
+            ((1, 1, 1, -1), 40),
+            ((0, 1, 1, -1), 40),
+            ((2, -3, 0, 1), 40),
+            ((1, -2, 2, -1), 40),
+        ],
+    )
+    def test_points_and_weight_match_brute_force(self, r, q):
+        points = [
+            d
+            for d in itertools.combinations(range(1, q), len(r))
+            if sum(c * e for c, e in zip(r, d)) == 0
+        ]
+        assert points
+        assert list(engine._plane_points(r, q)) == points
+        assert engine._plane_weight(r, q) == sum(q - d[-1] for d in points)
+
     @pytest.mark.parametrize("q,k,h_cap", [(30, 4, 5), (61, 4, 4), (40, 3, 6), (25, 4, 8)])
     def test_classes_cover_the_colliding_subsets(self, q, k, h_cap):
         # each plane's one-plane weight and representative, and each line
