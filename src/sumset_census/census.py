@@ -401,7 +401,8 @@ def _plane_shard(args: tuple[int, int, int, tuple, tuple]) -> _ShardTally:
                 f"one pair {sorted(pair)} of its plane {r}"
             )
         if found.violations:
-            directions = {u for u, _, _ in _relation_lines(h_cap)} if k == 4 else set()
+            # every direction through r comes from a slice of degree >= w
+            directions = {u for u, _, _ in _relation_lines(h_cap, w)} if k == 4 else set()
             for d in _plane_points(r, q):
                 if _direction(d) not in directions:
                     _keep_violations(evaluator, q, d, tally)
@@ -425,18 +426,19 @@ def _order_tally(q: int, k: int, h: int) -> _ShardTally:
     """The census's tally up to fold h + 1 that holds every k-subset of
     [1..q] of B_h order exactly h, for the lemma sweeps.
 
-    For k <= 4 these subsets are the classes of degree h + 1 of
-    _plane_classes(q, k, h + 1): the planes of degree h + 1 and the
-    directions of lowest plane degree h + 1, all of B_h order h, read by
-    _plane_shard.  For k >= 5 it is _census_shard's pass over every gap
-    pattern, which also tallies the sets of lower order.  The last
-    (q, k, h) is kept, so the repno sweep after ortho evaluates nothing.
+    For k <= 4 these subsets are the classes of _plane_classes(q, k, h + 1,
+    h + 1): the planes of degree h + 1 and the directions of lowest plane
+    degree h + 1, all of B_h order h, read by _plane_shard.  That table is
+    built from the degree-(h + 1) planes and the directions on them only:
+    no plane of lower degree is weighed or walked, and only the plane pairs
+    holding a degree-(h + 1) plane are crossed.  For k >= 5 it is
+    _census_shard's pass over every gap pattern, which also tallies the
+    sets of lower order.  The last (q, k, h) is kept, so the repno sweep
+    after ortho evaluates nothing.
     """
     if k > 4:
         return _census_shard((q, k, h + 1, 0, 1))
-    planes, lines = _plane_classes(q, k, h + 1)
-    planes = tuple(c for c in planes if c[1] == h + 1)
-    lines = tuple(c for c in lines if c[2] == h + 1)
+    planes, lines = _plane_classes(q, k, h + 1, h + 1)
     return _plane_shard((q, k, h + 1, planes, lines))
 
 

@@ -31,9 +31,13 @@ patterns on which a given disjoint-support relation x . A == y . A holds,
 along arithmetic progressions (_plane_progressions) that _plane_weight sums
 in closed form, without the walk.  _relation_lines lists, for 4-sets, the
 directions where two planes meet, which hold every pattern on more than one
-plane, with the planes through each.  From both, _plane_classes builds the
-table the census and the full k <= 4 lemma sweeps read: one class per plane
-and per direction, each of one profile and a closed-form subset count.
+plane, with the planes through each; it joins one slice per degree w
+(_line_slice), the crossings of the planes of degree w with those of degree
+at most w.  From both, _plane_classes builds the table the census and the
+full k <= 4 lemma sweeps read: one class per plane and per direction, each
+of one profile and a closed-form subset count.  The table is built by
+degree: the census reads degrees 2..h_cap, and a lemma sweep at order h
+degree h + 1 alone, which crosses, weighs and walks only its own slice.
 """
 
 from __future__ import annotations
@@ -302,29 +306,33 @@ def _relation_planes(k: int, w: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _relation_lines(h_cap: int) -> tuple[tuple[tuple[int, int, int], tuple, int], ...]:
+def _line_slice(w: int) -> tuple[tuple[tuple[int, int, int], tuple, int], ...]:
     """(u, planes, lowest) for each primitive direction 0 < u_1 < u_2 < u_3
-    where two planes of degree 2..h_cap meet, ascending by u.
+    where a plane of degree w meets a plane of degree 2..w, ascending by u.
 
     For 4-sets the planes live in Z^3, and two distinct ones, r . d == 0 and
     s . d == 0, meet in the line spanned by r x s.  So a gap vector on two or
     more of them is t*u for one of these directions u and some t >= 1.  The
-    first plane through u, in degree order, meets every other one in u
-    while it is crossed with the planes after it, so that pass lists them
-    all, by degree, and gives the lowest degree.  Planes of one sign hold no
-    gap vector and take no part.
+    slice crosses each plane of degree w with every plane of lower degree
+    and with every later plane of degree w, so each pair of planes is
+    crossed once, in the slice of its larger degree.  The first plane of
+    degree w through a direction u meets every other plane of degree <= w
+    through u while it is crossed with the planes after it, so that pass
+    lists them all, by degree, and gives the lowest degree.  A direction
+    whose planes reach a higher degree is listed with its planes of degree
+    <= w only.  Planes of one sign hold no gap vector and take no part.
     """
-    planes = [
-        (w, r)
-        for w in range(2, h_cap + 1)
-        for r in _relation_planes(4, w)
-        if min(r) < 0 < max(r)
-    ]
-    through: dict[tuple[int, int, int], list] = {}
-    for i, (w, a) in enumerate(planes):
+    degree = {
+        r: v for v in range(2, w + 1) for r in _relation_planes(4, v) if min(r) < 0 < max(r)
+    }
+    below = [r for r, v in degree.items() if v < w]
+    top = [r for r, v in degree.items() if v == w]
+    rank = {r: i for i, r in enumerate(degree)}  # by degree, then r
+    lines: dict[tuple[int, int, int], tuple] = {}
+    for i, a in enumerate(top):
         a1, a2, a3 = a
-        met: dict[tuple[int, int, int], list] = {}  # u -> [w, a, later planes]
-        for _, b in planes[i + 1 :]:
+        met: dict[tuple[int, int, int], list] = {}  # u -> [a, planes after a]
+        for b in below + top[i + 1 :]:
             b1, b2, b3 = b
             u1, u2, u3 = a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1
             if u1 < 0:
@@ -332,10 +340,28 @@ def _relation_lines(h_cap: int) -> tuple[tuple[tuple[int, int, int], tuple, int]
             if 0 < u1 < u2 < u3:
                 g = math.gcd(u1, u2, u3)
                 u = (u1 // g, u2 // g, u3 // g)
-                if u not in through:
-                    met.setdefault(u, [w, a]).append(b)
-        through.update(met)
-    return tuple((u, tuple(met[1:]), met[0]) for u, met in sorted(through.items()))
+                if u not in lines:
+                    met.setdefault(u, [a]).append(b)
+        for u, through in met.items():
+            through.sort(key=rank.__getitem__)
+            lines[u] = (u, tuple(through), degree[through[0]])
+    return tuple(lines[u] for u in sorted(lines))
+
+
+@lru_cache(maxsize=None)
+def _relation_lines(
+    h_cap: int, low: int = 2
+) -> tuple[tuple[tuple[int, int, int], tuple, int], ...]:
+    """(u, planes, lowest) for each primitive direction 0 < u_1 < u_2 < u_3
+    where two planes of degree 2..h_cap meet and one of them has degree at
+    least low, ascending by u: the union of the slices low..h_cap.
+
+    Each direction's entry comes from the highest slice that holds it, the
+    degree of its highest plane up to h_cap, which lists every plane of
+    degree 2..h_cap through it and their lowest degree (_line_slice).
+    """
+    lines = {line[0]: line for w in range(low, h_cap + 1) for line in _line_slice(w)}
+    return tuple(lines[u] for u in sorted(lines))
 
 
 def _plane_progressions(
@@ -414,10 +440,16 @@ def _plane_prefixes(
             yield head + (p,)
 
 
-def _plane_points(r: Sequence[int], q: int) -> Iterator[tuple[int, ...]]:
+def _plane_points(
+    r: Sequence[int], q: int, progressions: Iterable | None = None
+) -> Iterator[tuple[int, ...]]:
     """Gap vectors 0 < d_1 < ... < d_{k-1} < q with r . d == 0, ascending:
-    the points of _plane_progressions, each with every free tail."""
-    for prefix, first, last, step in _plane_progressions(r, q):
+    the points of _plane_progressions, each with every free tail.  A caller
+    that has already walked _plane_progressions(r, q) passes its
+    progressions, and the plane is not walked again."""
+    if progressions is None:
+        progressions = _plane_progressions(r, q)
+    for prefix, first, last, step in progressions:
         tail = len(r) - len(prefix) - 2
         for i in range((last[0] - first[0]) // step[0] + 1):
             point = prefix + (first[0] + i * step[0], first[1] + i * step[1])
@@ -428,18 +460,20 @@ def _plane_points(r: Sequence[int], q: int) -> Iterator[tuple[int, ...]]:
                 yield point
 
 
-@lru_cache(maxsize=None)
-def _plane_weight(r: tuple[int, ...], q: int) -> int:
+def _plane_weight(r: Sequence[int], q: int, progressions: Iterable | None = None) -> int:
     """Sum of q - d[-1] over the points d of _plane_points(r, q): the number
     of subsets of [1..q] whose gap vector lies on r, without the walk.
 
     A point with t free tail coordinates after d_j stands for the
     C(q - d_j, t + 1) ways to pick the tail and a translate: a polynomial of
     degree t + 1 in the index along a progression, summed in closed form
-    from its forward differences.  Tables of several h_cap share it.
+    from its forward differences.  progressions, when given, are those of
+    _plane_progressions(r, q), already walked.
     """
+    if progressions is None:
+        progressions = _plane_progressions(r, q)
     total = 0
-    for prefix, first, last, step in _plane_progressions(r, q):
+    for prefix, first, last, step in progressions:
         m = len(r) - len(prefix) - 1
         n = (last[0] - first[0]) // step[0] + 1
         if m == 1:  # no free tail: q - d_j, summed from its two ends
@@ -467,22 +501,27 @@ def _narrow(a: int, e: int, lo: int, hi: int) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=None)
-def _plane_classes(q: int, k: int, h_cap: int) -> tuple[tuple, tuple]:
+def _plane_classes(q: int, k: int, h_cap: int, low: int = 2) -> tuple[tuple, tuple]:
     """(planes, lines): the gap vectors below q on relation planes of degree
-    2..h_cap, for k <= 4, as classes of one profile each.
+    2..h_cap, for k <= 4, as classes of one profile each, those of degree
+    low..h_cap.
 
     lines holds (u, weight, lowest) for each direction u of _relation_lines
-    with u_3 < q, the smaller of each mirror pair: its dilates t*u and their
-    mirrors share u's collisions, since h(tA) = t*hA, and stand for weight
-    subsets, (1 or 2) times the sum of q - t*u_3; lowest is the least degree
-    of u's planes.  At k <= 3 two planes meet only at 0.  planes holds
-    (r, w, representative, weight) for each plane of degree w with a point on
-    no other plane: weight is _plane_weight(r, q) less the subsets of the
-    dilates on r, and representative its first point that is no t*u.
+    with u_3 < q and lowest >= low, the smaller of each mirror pair: its
+    dilates t*u and their mirrors share u's collisions, since h(tA) = t*hA,
+    and stand for weight subsets, (1 or 2) times the sum of q - t*u_3;
+    lowest is the least degree of u's planes.  At k <= 3 two planes meet
+    only at 0.  planes holds (r, w, representative, weight) for each plane
+    of degree w in low..h_cap with a point on no other plane: weight is
+    _plane_weight(r, q) less the subsets of the dilates on r, and
+    representative its first point that is no t*u, both read from one walk
+    of _plane_progressions(r, q).  Every direction through such a plane is
+    in _relation_lines(h_cap, low), so a table of one degree crosses only
+    the planes of its own slice.
     """
     on_plane: dict[tuple[int, ...], list] = {}
     lines = []
-    for u, through, lowest in _relation_lines(h_cap) if k == 4 else ():
+    for u, through, lowest in _relation_lines(h_cap, low) if k == 4 else ():
         if u[2] >= q:
             continue
         if len(through) < 2:
@@ -493,19 +532,27 @@ def _plane_classes(q: int, k: int, h_cap: int) -> tuple[tuple, tuple]:
         weight = t * q - u[2] * t * (t + 1) // 2
         for r in through:
             on_plane.setdefault(r, []).append((u, weight))
+        if lowest < low:
+            continue
         mirrored = _mirror(u)
         if u <= mirrored:
             lines.append((u, weight * (1 if u == mirrored else 2), lowest))
     planes = []
-    for w in range(2, h_cap + 1):
+    for w in range(low, h_cap + 1):
         for r in _relation_planes(k, w):
             on_lines = on_plane.get(r, ())
-            weight = _plane_weight(r, q) - sum(dilates for _, dilates in on_lines)
+            progressions = tuple(_plane_progressions(r, q))
+            weight = _plane_weight(r, q, progressions) - sum(dilates for _, dilates in on_lines)
             if not weight:
                 continue
             directions = {u for u, _ in on_lines}
             representative = next(
-                (d for d in _plane_points(r, q) if _direction(d) not in directions), None
+                (
+                    d
+                    for d in _plane_points(r, q, progressions)
+                    if _direction(d) not in directions
+                ),
+                None,
             )
             if weight < 0 or representative is None:
                 raise InvariantError(f"plane {r} has {weight} subsets on no other plane")

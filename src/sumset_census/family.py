@@ -164,6 +164,10 @@ def verify_member(a: SetLike, h: int, max_step: int = 1) -> MemberVerification:
       deficits: deficit at order h+step equals tetrahedral(step) exactly
       trivial_only: every colliding pair differs by +/-(h, -(h+1), 1, 0)
       separation: (h+1)*c < d for the sorted elements {a, b, c, d}
+
+    The kernel sizes and the collision scans cross-check each other: a scan
+    at fold h+step whose size differs from the kernel's raises
+    InvariantError, as in the census.
     """
     elems = elements_of(a)
     if len(elems) != 4:
@@ -183,12 +187,19 @@ def verify_member(a: SetLike, h: int, max_step: int = 1) -> MemberVerification:
 
     signature = (h, -(h + 1), 1, 0)
     trivial = {signature, tuple(-v for v in signature)}
-    trivial_only_ok = all(
-        len(collision.vectors) == 2
-        and tuple(u - v for u, v in zip(*collision.vectors)) in trivial
-        for step in steps
-        for collision in profile_naive(elems, h + step).collisions
-    )
+    trivial_only_ok = True
+    for step in steps:
+        profile = profile_naive(elems, h + step)
+        if profile.size != sizes[h + step - 1]:
+            raise InvariantError(
+                f"kernel size {sizes[h + step - 1]} != enumerated size "
+                f"{profile.size} at fold {h + step} of {elems}"
+            )
+        trivial_only_ok = trivial_only_ok and all(
+            len(collision.vectors) == 2
+            and tuple(u - v for u, v in zip(*collision.vectors)) in trivial
+            for collision in profile.collisions
+        )
 
     separation_ok = (h + 1) * elems[2] < elems[3]
 

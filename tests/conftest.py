@@ -10,7 +10,6 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 
 CACHES = (
-    engine._plane_weight,
     engine._plane_classes,
     census._order_tally,
 )
@@ -18,9 +17,9 @@ CACHES = (
 
 @pytest.fixture(autouse=True)
 def cold_caches():
-    """Every test starts and ends with no plane weight, class table or
-    order tally held, so a patched engine, census or verifier binding is
-    never answered from a cache and leaves none of its results behind."""
+    """Every test starts and ends with no class table or order tally held,
+    so a patched engine, census or verifier binding is never answered from
+    a cache and leaves none of its results behind."""
     for cache in CACHES:
         cache.cache_clear()
     yield

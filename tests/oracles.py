@@ -11,16 +11,18 @@ The remaining helpers instead keep the package's earlier plain algorithms
 alive as references for its shortcuts: the per-subset census sweep and the
 per-subset ortho, repno and ddp sweeps (the package reads plane classes or
 walks gap patterns), the pairwise disjoint-support scan (the package counts
-by support mask), and the gap-pattern pair count (the package walks one
-relation plane).
+by support mask), the gap-pattern pair count (the package walks one
+relation plane), and the crossing of all relation planes at once (the
+package crosses them one degree slice at a time).
 """
 
 from collections import Counter
 from functools import cache
 import itertools
+import math
 from typing import NamedTuple
 
-from sumset_census import census, sumset_sizes, verifier
+from sumset_census import census, engine, sumset_sizes, verifier
 from sumset_census.census import (
     DeficitLadderViolation,
     RepBoundViolation,
@@ -127,6 +129,38 @@ def disjoint_pair_scan(h, k) -> tuple[int, int]:
                 if not (singleton[i] and singleton[j]):
                     nontrivial += 1
     return total, nontrivial
+
+
+@cache
+def plain_relation_lines(h_cap):
+    """(u, planes, lowest) for each direction where two planes of degree
+    2..h_cap meet, ascending by u, by crossing every pair of mixed-sign
+    planes in one pass: the package's build before it crossed by degree.
+    The first plane through u, in degree order, meets every other one in u
+    while it is crossed with the planes after it, so that pass lists them
+    all, by degree, and gives the lowest degree."""
+    planes = [
+        (w, r)
+        for w in range(2, h_cap + 1)
+        for r in engine._relation_planes(4, w)
+        if min(r) < 0 < max(r)
+    ]
+    through = {}
+    for i, (w, a) in enumerate(planes):
+        a1, a2, a3 = a
+        met = {}  # u -> [w, a, later planes]
+        for _, b in planes[i + 1 :]:
+            b1, b2, b3 = b
+            u1, u2, u3 = a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1
+            if u1 < 0:
+                u1, u2, u3 = -u1, -u2, -u3
+            if 0 < u1 < u2 < u3:
+                g = math.gcd(u1, u2, u3)
+                u = (u1 // g, u2 // g, u3 // g)
+                if u not in through:
+                    met.setdefault(u, [w, a]).append(b)
+        through.update(met)
+    return tuple((u, tuple(met[1:]), met[0]) for u, met in sorted(through.items()))
 
 
 def plain_census_shard(q, k, h_cap, shard_index=0, shards=1):

@@ -198,7 +198,9 @@ class TestClosedForm:
 def _patch_lines(monkeypatch, edit):
     # the class table reads the directions through engine at build time
     real = engine._relation_lines
-    monkeypatch.setattr(engine, "_relation_lines", lambda h_cap: tuple(edit(real(h_cap))))
+    monkeypatch.setattr(
+        engine, "_relation_lines", lambda h_cap, low=2: tuple(edit(real(h_cap, low)))
+    )
 
 
 class TestPlaneCensusFaults:
@@ -268,19 +270,24 @@ class TestPlaneCensusFaults:
     def test_negative_remainder(self, monkeypatch):
         # a plane weight too large leaves fewer than 0 subsets capped, or
         # one-plane subsets on a plane with no one-plane point; one subset
-        # too many on a plane fails the byte test
+        # too many on a plane fails the byte test; the class table passes
+        # the progressions it walked on to the weight
         real = engine._plane_weight
         monkeypatch.setattr(
-            engine, "_plane_weight", lambda r, q: real(r, q) + 495 * (r == (1, 1, -1))
+            engine,
+            "_plane_weight",
+            lambda r, q, *walk: real(r, q, *walk) + 495 * (r == (1, 1, -1)),
         )
         with pytest.raises(InvariantError, match="more than C"):
             run_census(q=12, k=4, h_cap=4)
-        monkeypatch.setattr(engine, "_plane_weight", lambda r, q: 2 * real(r, q))
+        monkeypatch.setattr(engine, "_plane_weight", lambda r, q, *walk: 2 * real(r, q, *walk))
         engine._plane_classes.cache_clear()
         with pytest.raises(InvariantError, match=r"plane \(0, 3, -2\) has 42 subsets on no"):
             run_census(q=12, k=4, h_cap=4)
         monkeypatch.setattr(
-            engine, "_plane_weight", lambda r, q: real(r, q) + (r in ((1, 1, -1), (2, -1)))
+            engine,
+            "_plane_weight",
+            lambda r, q, *walk: real(r, q, *walk) + (r in ((1, 1, -1), (2, -1))),
         )
         for k, q in ((3, 14), (4, 20)):
             engine._plane_classes.cache_clear()

@@ -23,7 +23,13 @@ from sumset_census import engine
 from sumset_census.engine import first_deficit
 from sumset_census.guards import DEFAULT_MAX_BITMAP_BITS, InvariantError
 
-from oracles import composition_count, folded_sizes, order_of, representation_counter
+from oracles import (
+    composition_count,
+    folded_sizes,
+    order_of,
+    plain_relation_lines,
+    representation_counter,
+)
 
 
 @st.composite
@@ -457,6 +463,33 @@ class TestRelationLines:
             for t in range(1, (q - 1) // u[2] + 1):
                 points[tuple(t * c for c in u)] = set(planes)
         assert points == {d: set(rs) for d, rs in on_planes.items() if len(rs) >= 2}
+
+    @pytest.mark.parametrize("h_cap", range(2, 10))
+    def test_slices_match_the_all_pairs_crossing(self, h_cap):
+        # the union of the slices low..h_cap holds the directions of the
+        # one-pass crossing that lie on a plane of degree >= low, each with
+        # all its planes of degree <= h_cap and their lowest degree
+        degree = {r: w for w in range(2, h_cap + 1) for r in engine._relation_planes(4, w)}
+        plain = plain_relation_lines(h_cap)
+        for low in range(2, h_cap + 1):
+            expected = {
+                u: (set(planes), lowest)
+                for u, planes, lowest in plain
+                if max(degree[r] for r in planes) >= low
+            }
+            lines = engine._relation_lines(h_cap, low)
+            assert [u for u, _, _ in lines] == sorted(expected)
+            assert {u: (set(planes), lowest) for u, planes, lowest in lines} == expected
+
+    @pytest.mark.parametrize("q,h_cap", [(12, 3), (30, 5), (41, 6), (25, 8)])
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_tables_by_degree_are_the_full_table_filtered(self, q, k, h_cap):
+        planes, lines = engine._plane_classes(q, k, h_cap)
+        for low in range(2, h_cap + 1):
+            assert engine._plane_classes(q, k, h_cap, low) == (
+                tuple(c for c in planes if c[1] >= low),
+                tuple(c for c in lines if c[2] >= low),
+            )
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_no_lines_below_four_elements(self, k):

@@ -6,6 +6,7 @@ from sumset_census import (
     FamilyParams,
     InvariantError,
     cli,
+    family,
     family_size,
     generate_family,
     member_at,
@@ -166,6 +167,20 @@ class TestVerifyMember:
             verify_member((1, 6, 16, 7920), 2, max_step=0)
         with pytest.raises(ValueError, match="integers"):
             verify_member((1.0, 6, 16, 7920), 2)
+
+    @pytest.mark.parametrize("fold", [4, 5])
+    def test_kernel_and_scan_must_agree(self, monkeypatch, fold):
+        # a kernel one short at fold h + step is caught by that step's scan
+        real = family.sumset_sizes
+
+        def short(elems, h):
+            sizes = real(elems, h)
+            sizes[fold - 1] -= 1
+            return sizes
+
+        monkeypatch.setattr(family, "sumset_sizes", short)
+        with pytest.raises(InvariantError, match=f"enumerated size .* at fold {fold} of"):
+            verify_member((1, 9, 33, 26730), 3, max_step=2)
 
     @pytest.mark.parametrize("h,max_step", [(2, 2), (2, 5), (3, 3)])
     def test_steps_past_order_2h_minus_1_are_refused(self, h, max_step):

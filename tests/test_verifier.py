@@ -357,7 +357,7 @@ class TestCandidateSource:
         # mirror pair of the 3,876 patterns
         assert verify_repno(20, 5, 2).work["patterns_classified"] == 1956
 
-    @pytest.mark.parametrize("q,h", [(60, 5), (25, 3)])
+    @pytest.mark.parametrize("q,h", [(60, 5), (25, 3), (30, 6)])
     def test_class_route_verdict_bytes(self, q, h):
         ortho, repno = _plain_verdicts(q, h)
         assert verify_ortho(q, h).to_json() == ortho
@@ -379,14 +379,14 @@ class TestCandidateSource:
     def test_classes_must_first_collide_at_h_plus_1(self, monkeypatch):
         real = census._plane_classes
 
-        def one_degree_up(q, k, h_cap):
-            planes, lines = real(q, k, h_cap)
+        def one_degree_up(q, k, h_cap, low=2):
+            planes, lines = real(q, k, h_cap, low)
             return planes, tuple((u, weight, lowest + 1) for u, weight, lowest in lines)
 
         monkeypatch.setattr(census, "_plane_classes", one_degree_up)
-        # the directions of lowest degree 3 now claim 4: census._plane_shard
-        # finds their first collision at fold 3
-        with pytest.raises(InvariantError, match=r"lowest relation plane has degree 4"):
+        # the directions of lowest degree 4 now claim 5: census._plane_shard
+        # finds their first collision at fold 4
+        with pytest.raises(InvariantError, match=r"lowest relation plane has degree 5$"):
             verify_ortho(30, 3)
 
 
