@@ -3,7 +3,7 @@
 The sweep computes |iA| for i = 1..h_cap with the engine's bitmap kernel,
 classifies the B_h order from the engine's first-deficit rule, and checks the
 collision-structure lemmas on the way in one evaluator (_SetEvaluator), whose
-collisions half the lemma sweeps of verifier share: by the engine's collision
+collisions the ortho and repno sweeps of verifier read: by the engine's collision
 scan at the first colliding order, the deficit ladder past the first
 collision, the representation bound at order h_star + 1, and pairwise
 support disjointness of colliding vectors.  Per-order size histograms,

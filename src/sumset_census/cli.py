@@ -170,7 +170,7 @@ def _emit_verdicts(verdicts) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.lemma == "ortho":
-        return _emit_verdicts([verify_ortho(args.q, args.h, sample=args.sample)])
+        return _emit_verdicts([verify_ortho(args.q, args.h)])
     if args.lemma == "repno":
         return _emit_verdicts([verify_repno(args.q, args.k, args.h)])
     if args.lemma == "ddp":
@@ -251,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     lp = lemma_sub.add_parser("ortho", help="disjoint supports of colliding pairs")
     lp.add_argument("--q", type=int, required=True)
     lp.add_argument("--h", type=int, required=True)
-    lp.add_argument("--sample", type=int, default=None)
     lp.set_defaults(func=cmd_verify)
 
     lp = lemma_sub.add_parser("repno", help="representation bound at order h+1")

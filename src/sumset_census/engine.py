@@ -20,11 +20,8 @@ sums it touches, k * sum_{i<h} M(i, k), whatever the span.
 This module is the only home of the two fold kernels, the composition
 collision scan (_collision_scan) and the first-deficit rule (first_deficit).
 The census calls the unvalidated bitmap kernel and scan directly on the gap
-patterns it generates, whose spans stay below q.  A sampled lemma sweep
-calls _sizes, the unvalidated body of sumset_sizes (which picks the
-representation), on the gap patterns it takes, having checked the budgets
-at the start of every sweep; every other caller goes through the
-validating public functions.
+patterns it generates, whose spans stay below q; every other caller goes
+through the validating public functions.
 
 The relation-plane walk (_relation_planes, _plane_points) lists the gap
 patterns on which a given disjoint-support relation x . A == y . A holds,

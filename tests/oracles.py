@@ -276,11 +276,11 @@ def _plain_sets_of_order(q, k, h):
             yield elems, [(n, [comps[i] for i in idxs]) for n, idxs in sorted(groups.items())]
 
 
-def plain_sweeps(q, k, h, sample=None):
+def plain_sweeps(q, k, h):
     """(ortho, repno): the LemmaVerdicts of the per-subset ortho and repno
-    sweeps over k-subsets, from one pass that stops after sample sets when
-    sample is given; the ortho verdict is the lemma's own at k = 4.  The
-    representation bound is read through the census module at call time."""
+    sweeps over k-subsets, from one pass; the ortho verdict is the lemma's
+    own at k = 4.  The representation bound is read through the census
+    module at call time."""
     bound = census._rep_bound(k)
     examined = 0
     overlaps = []
@@ -295,9 +295,7 @@ def plain_sweeps(q, k, h, sample=None):
                 excesses.append(RepBoundViolation(elems, h, n, len(vectors)))
         if not collisions:
             excesses.append(MissingCollisionViolation(elems, h))
-        if examined == sample:
-            break
-    ortho_params = {"q": q, "h": h, "sample": 0 if sample is None else sample}
+    ortho_params = {"q": q, "h": h, "sample": 0}
     repno_params = {"q": q, "k": k, "h": h, "bound": bound}
     return (
         verifier.LemmaVerdict("ortho", ortho_params, examined, tuple(overlaps), 0.0, {}),
@@ -305,9 +303,9 @@ def plain_sweeps(q, k, h, sample=None):
     )
 
 
-def plain_ortho(q, h, sample=None):
+def plain_ortho(q, h):
     """LemmaVerdict of the per-subset ortho sweep."""
-    return plain_sweeps(q, 4, h, sample)[0]
+    return plain_sweeps(q, 4, h)[0]
 
 
 def plain_repno(q, k, h):

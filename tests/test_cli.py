@@ -189,16 +189,13 @@ class TestVerify:
         assert result.returncode == 3
         assert "budget exceeded" in result.stderr
 
-    def test_ortho_with_sample(self):
-        result = run_cli("verify", "ortho", "--q", "12", "--h", "2", "--sample", "3")
-        assert result.returncode == 0
-        assert json.loads(result.stdout)["instances"] == 3
-
-    def test_ortho_sample_below_one_is_a_usage_error(self):
-        result = run_cli("verify", "ortho", "--q", "30", "--h", "2", "--sample", "0")
+    def test_ortho_sample_is_a_usage_error(self):
+        # ortho always sweeps every subset: a script passing --sample fails
+        # loudly rather than getting a different verdict
+        result = run_cli("verify", "ortho", "--q", "30", "--h", "2", "--sample", "5")
         assert result.returncode == 2
         assert result.stdout == ""
-        assert "sample must be >= 1" in result.stderr
+        assert "unrecognized arguments: --sample" in result.stderr
 
     @pytest.mark.parametrize(
         "args",

@@ -22,7 +22,6 @@ from sumset_census.verifier import DdpViolation, RealizedTotal
 
 from oracles import (
     composition_count,
-    folded_sizes,
     order_of,
     plain_ddp_achievable,
     plain_ortho,
@@ -68,17 +67,6 @@ class TestOrtho:
         collision = profile_naive((1, 2, 8, 10), 3).collisions[0]
         x, y = collision.vectors
         assert not any(u and v for u, v in zip(x, y))
-
-    def test_sample_caps_examined_sets(self):
-        verdict = verify_ortho(30, 2, sample=5)
-        assert verdict.instances == 5
-        assert verdict.passed
-        assert verdict.params["sample"] == 5
-
-    def test_sample_below_one_rejected(self):
-        for sample in (0, -3):
-            with pytest.raises(ValueError, match="sample must be >= 1"):
-                verify_ortho(30, 2, sample=sample)
 
     def test_empty_sweep_rejected(self):
         with pytest.raises(ValueError, match="order exactly 6: nothing to check"):
@@ -309,18 +297,11 @@ class TestPatternSweepMatchesPlainSweep:
     )
     def test_three_element_repno_bytes(self, q, k, h, classes):
         # k = 3 evaluates one class per plane of degree h + 1, as the census
-        # does (two planes meet only at 0), where the walk classified 12,
-        # 14, 28 and 12 patterns
+        # does (two planes meet only at 0)
         verdict = verify_repno(q, k, h)
         assert verdict.instances > 0
         assert verdict.work == {"patterns_classified": classes, "profiles": classes, "reused": 0}
         assert verdict.to_json() == plain_repno(q, k, h).to_json()
-
-    @pytest.mark.parametrize("q,h,sample", [(30, 2, 5), (20, 3, 40), (20, 3, 500)])
-    def test_sampled_ortho_bytes(self, q, h, sample):
-        verdict = verify_ortho(q, h, sample=sample)
-        assert verdict.instances == sample
-        assert verdict.to_json() == plain_ortho(q, h, sample=sample).to_json()
 
     @pytest.mark.parametrize("q,h", [(7, 8), (20, 2), (30, 4)])
     def test_achievable_dot_products(self, q, h):
@@ -344,13 +325,6 @@ class TestCandidateSource:
         assert verify_ortho(30, 2).work == {
             "patterns_classified": 26,
             "profiles": 26,
-            "reused": 0,
-        }
-        # a sample walks the gap patterns in order and stops classifying at
-        # its last instance
-        assert verify_ortho(30, 2, sample=5).work == {
-            "patterns_classified": 35,
-            "profiles": 5,
             "reused": 0,
         }
         # k = 5 reads the census's per-pattern pass: one evaluation per
@@ -410,51 +384,13 @@ class TestSharedClassification:
         assert verify_ortho(q, h).to_json() == ortho
         assert verify_repno(q, 4, h).to_json() == repno
 
-    def test_sample_then_full_sweeps(self):
-        sampled = verify_ortho(30, 2, sample=5)
-        assert sampled.work == {"patterns_classified": 35, "profiles": 5, "reused": 0}
-        assert sampled.to_json() == plain_ortho(30, 2, sample=5).to_json()
+    def test_ortho_then_repno(self):
         ortho = verify_ortho(30, 2)
         assert ortho.work == {"patterns_classified": 26, "profiles": 26, "reused": 0}
         assert ortho.to_json() == plain_ortho(30, 2).to_json()
         repno = verify_repno(30, 4, 2)
         assert repno.work == {"patterns_classified": 0, "profiles": 0, "reused": 26}
         assert repno.to_json() == plain_repno(30, 4, 2).to_json()
-        sampled = verify_ortho(20, 2, sample=5)
-        assert sampled.work == {"patterns_classified": 25, "profiles": 5, "reused": 0}
-        assert sampled.to_json() == plain_ortho(20, 2, sample=5).to_json()
-
-    def test_sampled_sweeps_stay_lazy(self):
-        # a sample classifies only as far as its last instance, cold or
-        # after a full sweep: up to that instance's place among the gap
-        # patterns (1,) + c in subset enumeration order
-        def last_place(q, h, sample):
-            found = 0
-            for place, c in enumerate(itertools.combinations(range(2, q + 1), 3), 1):
-                sizes = folded_sizes((1,) + c, h + 1)
-                # full at fold h, so at every fold below it, and short at h + 1
-                full_at_h = sizes[h - 1] == composition_count(h, 4)
-                found += full_at_h and sizes[h] < composition_count(h + 1, 4)
-                if found == sample:
-                    return place
-
-        for full in (None, 20, 30):
-            if full:
-                verify_ortho(full, 2)
-            sampled = verify_ortho(30, 2, sample=5)
-            expected = last_place(30, 2, 5)
-            assert sampled.work == {"patterns_classified": expected, "profiles": 5, "reused": 0}
-            assert sampled.to_json() == plain_ortho(30, 2, sample=5).to_json()
-        sampled = verify_ortho(60, 4, sample=5)
-        assert sampled.work["patterns_classified"] == last_place(60, 4, 5) == 188
-        assert sampled.to_json() == plain_ortho(60, 4, sample=5).to_json()
-
-    def test_full_then_sampled_sweeps(self):
-        assert verify_ortho(20, 3).to_json() == plain_ortho(20, 3).to_json()
-        for sample, profiles in ((40, 40), (500, 232)):
-            verdict = verify_ortho(20, 3, sample=sample)
-            assert verdict.work["profiles"] == profiles
-            assert verdict.to_json() == plain_ortho(20, 3, sample=sample).to_json()
 
     def test_refusals_on_a_warm_classification(self, monkeypatch):
         for _ in range(2):
@@ -482,7 +418,7 @@ class TestSharedClassification:
         assert verdict.to_json() == plain_repno(20, 4, 2).to_json()
 
     def test_bitmap_budget_on_the_widest_window(self, monkeypatch):
-        # checked on every sweep, before any walk: a candidate of [1..q] folds
+        # checked on every sweep, before any evaluation: a set of [1..q] folds
         # at most 3 * (q - 1) + 1 bits at h + 1 = 3
         monkeypatch.setenv("SUMSET_MAX_SUBSETS", str(10**24))
         q = 40_000_000
@@ -526,9 +462,6 @@ class TestOnePassPerKH:
                 verdict = verify_repno(q, 4, h)
                 assert verdict.to_json() == repno
                 assert verdict.work["patterns_classified"] == 0
-        sampled = verify_ortho(20, h, sample=5)
-        assert sampled.work["profiles"] == 5
-        assert sampled.to_json() == plain_ortho(20, h, sample=5).to_json()
 
 
 def _assert_explicit_violations(verdict):
@@ -583,14 +516,12 @@ class TestFaultInjection:
         verdict = verify_ortho(20, 2)
         _assert_same_verdict(verdict, plain_ortho(20, 2))
         _assert_explicit_violations(verdict)
-        _assert_same_verdict(verify_ortho(20, 3, sample=40), plain_ortho(20, 3, sample=40))
 
     def test_patch_after_a_warm_classification(self, monkeypatch):
         # the order tally of the last (q, k, h) is keyed on nothing but
         # (q, k, h), so a patch of the scan clears it on the way in, and
         # again on the way out so the patch's tally does not outlive it;
-        # the patched classes violate and name their own subsets, with no
-        # walk
+        # the patched classes violate and name their own subsets
         assert verify_ortho(20, 2).passed
         census._order_tally.cache_clear()
         monkeypatch.setattr(census, "_collision_scan", _first_vector_twice)
@@ -607,8 +538,7 @@ class TestFaultInjection:
 
 def test_kernel_and_enumerated_sizes_must_agree(monkeypatch):
     # each checked set's fold-(h + 1) size has two routes, the kernel and
-    # the collision scan; a disagreement is a bug, exit 4, on a class and
-    # on a walked pattern
+    # the collision scan; a disagreement is a bug, exit 4
     real = census._collision_scan
 
     def one_too_large(elems, h):
@@ -619,7 +549,4 @@ def test_kernel_and_enumerated_sizes_must_agree(monkeypatch):
     message = r"kernel size 19 != enumerated size 20 at fold 3 of \(0, 1, 6, 9\)"
     with pytest.raises(InvariantError, match=message):
         verify_ortho(20, 2)
-    message = r"kernel size 17 != enumerated size 18 at fold 3 of \(1, 2, 4, 8\)"
-    with pytest.raises(InvariantError, match=message):
-        verify_ortho(20, 2, sample=5)
     assert cli.main(["verify", "ortho", "--q", "20", "--h", "2"]) == cli.EXIT_INVARIANT == 4
