@@ -28,7 +28,11 @@ For k >= 5, where most colliding patterns lie on three or more planes, the
 census instead evaluates every gap pattern, one per mirror pair
 (_census_shard).  The full lemma sweeps of verifier read one of these
 tallies up to fold h + 1 (_order_tally), which decides the route for them
-too.  Each evaluation is counted once per subset it stands for.
+too.  Each evaluation is counted once per subset it stands for.  A class
+of the table has one profile at every q: the weight-free evaluation of a
+plane's representative or of a direction, with its checks, is kept per
+process (_class_profiles), so each q of a sweep grid or a census adds only
+the weights of the classes an earlier q profiled.
 Violations name explicit subsets: when an evaluation violates, the
 translates it stands for are evaluated again only to collect theirs, and add
 nothing to the tallies.
@@ -199,7 +203,8 @@ class _ShardTally:
         self.rep_profile: Counter = Counter()
         self.capped = 0
         self.subsets = 0
-        self.evaluations = 0
+        self.evaluations = 0  # sets counted with a weight
+        self.profiles = 0  # of those, profiles computed and not read from _class_profiles
         self.violations: list = []  # ladder, rep-bound and support violations
 
 
@@ -241,30 +246,30 @@ class _SetEvaluator:
         }
         self.rep_bound = _rep_bound(k)
 
-    def evaluate(self, elems: tuple[int, ...], tally: _ShardTally, weight: int) -> _Evaluation:
-        """Count elems weight times into tally; return its sizes, first
-        colliding fold (0 when capped), groups and violations.
-
-        Weight 0 adds nothing to the tally; the violations still name elems.
-        """
+    def profile(self, elems: tuple[int, ...]) -> _Evaluation:
+        """The sizes, first colliding fold (0 when capped), groups and
+        violations of elems, weight-free."""
         sizes = _fold_sizes(elems, self.h_cap)
         first = first_deficit(elems, sizes)
-        if weight:
-            tally.evaluations += 1
-            tally.subsets += weight
-            for i, size in enumerate(sizes):
-                tally.hist[i][size] += weight
+        if not first:
+            return _Evaluation(sizes, 0, {}, [])
+        return _Evaluation(sizes, first, *self.collisions(elems, sizes, first))
+
+    def count(self, found: _Evaluation, tally: _ShardTally, weight: int) -> None:
+        """Count weight subsets of the profile found into tally."""
+        sizes, first = found.sizes, found.first
+        tally.evaluations += 1
+        tally.subsets += weight
+        for i, size in enumerate(sizes):
+            tally.hist[i][size] += weight
         if not first:
             tally.capped += weight
-            return _Evaluation(sizes, 0, {}, [])
-        groups, violations = self.collisions(elems, sizes, first)
-        if weight:
-            h_star = first - 1
-            tally.bstar[h_star] += weight
-            if self.m_of[first] - sizes[h_star] >= 2:
-                tally.exceptional[h_star] += weight
-            tally.rep_profile[(h_star, max(map(len, groups.values())))] += weight
-        return _Evaluation(sizes, first, groups, violations)
+            return
+        h_star = first - 1
+        tally.bstar[h_star] += weight
+        if self.m_of[first] - sizes[h_star] >= 2:
+            tally.exceptional[h_star] += weight
+        tally.rep_profile[(h_star, max(map(len, found.groups.values())))] += weight
 
     def collisions(
         self, elems: tuple[int, ...], sizes: list[int], first: int
@@ -310,12 +315,13 @@ def _keep_violations(
 ) -> None:
     """Keep the violations of every translate in [1..q] of the pattern (0,) + d.
 
-    Each translate is evaluated at weight 0, which adds nothing to the tally.
+    Each translate is profiled for its violations only and adds nothing to
+    the tally's counts.
     """
     shape = (0,) + d
     for c in range(1, q - d[-1] + 1):
         elems = tuple(c + s for s in shape)
-        tally.violations.extend(evaluator.evaluate(elems, tally, 0).violations)
+        tally.violations.extend(evaluator.profile(elems).violations)
 
 
 def _census_shard(args: tuple[int, int, int, int, int]) -> _ShardTally:
@@ -330,8 +336,8 @@ def _census_shard(args: tuple[int, int, int, int, int]) -> _ShardTally:
     lexicographically smaller pattern, and counted for its q - span
     translates, twice over when the pattern is not its own mirror.
     Violations name explicit subsets, so when a pattern violates, each
-    translate of it and of its mirror is evaluated at weight 0, which adds
-    nothing to the tallies, and its violations are kept instead.
+    translate of it and of its mirror is profiled again, which adds nothing
+    to the tallies, and its violations are kept instead.
     """
     q, k, h_cap, shard_index, shards = args
     evaluator = _SetEvaluator(k, h_cap)
@@ -344,8 +350,10 @@ def _census_shard(args: tuple[int, int, int, int, int]) -> _ShardTally:
             if interior > mirrored:
                 continue
             pattern = (0,) + interior + (span,)
-            symmetric = interior == mirrored
-            if evaluator.evaluate(pattern, tally, (q - span) * (1 if symmetric else 2)).violations:
+            found = evaluator.profile(pattern)
+            tally.profiles += 1
+            evaluator.count(found, tally, (q - span) * (1 if interior == mirrored else 2))
+            if found.violations:
                 for shape in {interior, mirrored}:
                     _keep_violations(evaluator, q, shape + (span,), tally)
     return tally
@@ -366,40 +374,74 @@ def _closed_form(k: int, w: int, h_cap: int) -> list[int]:
     ]
 
 
+# (k, h_cap, elems, claim) -> the checked profile of a class of _plane_shard
+_class_profiles: dict[tuple, _Evaluation] = {}
+
+
+def _class_profile(
+    evaluator: _SetEvaluator, elems: tuple[int, ...], claim, tally: _ShardTally
+) -> _Evaluation:
+    """The profile of a plane or line class of _plane_shard, checked against
+    its claim: (r, w) for a representative on plane r of degree w only, the
+    lowest degree of its planes for a direction.
+
+    A representative's sizes must equal the closed form of degree w, and its
+    one collision at fold w must be the plane's pair {v+, v-},
+    v = (-sum(r),) + r; a direction must first collide at its lowest degree.
+    Any mismatch raises InvariantError.  Neither the profile nor the claim
+    depends on q, so a checked profile is kept in _class_profiles and read
+    by every later shard; tally counts the profiles computed.
+    """
+    key = (evaluator.k, evaluator.h_cap, elems, claim)
+    found = _class_profiles.get(key)
+    if found is not None:
+        return found
+    found = evaluator.profile(elems)
+    if isinstance(claim, int):
+        if found.first != claim:
+            raise InvariantError(
+                f"first collision of {elems} at fold {found.first}, but its "
+                f"lowest relation plane has degree {claim}"
+            )
+    else:
+        r, w = claim
+        closed = _closed_form(evaluator.k, w, evaluator.h_cap)
+        if found.sizes != closed:
+            raise InvariantError(
+                f"sizes {found.sizes} of {elems}, on plane {r} "
+                f"only, differ from its closed form {closed}"
+            )
+        v = (-sum(r),) + r
+        pair = {tuple(max(c, 0) for c in v), tuple(max(-c, 0) for c in v)}
+        comps = compositions_table(w, evaluator.k)
+        if [{comps[i] for i in idxs} for idxs in found.groups.values()] != [pair]:
+            raise InvariantError(
+                f"collisions of {elems} at fold {w} are not the "
+                f"one pair {sorted(pair)} of its plane {r}"
+            )
+    _class_profiles[key] = found
+    tally.profiles += 1
+    return found
+
+
 def _plane_shard(args: tuple[int, int, int, tuple, tuple]) -> _ShardTally:
     """Evaluate a share of the plane and line classes of engine._plane_classes.
 
     A plane's one-plane points all share the profile of the closed form, so
-    its representative is evaluated once, for all of their subsets: its
-    sizes must equal that closed form, and its one collision at the plane's
-    degree w must be the plane's pair {v+, v-}, v = (-sum(r),) + r.  A line
-    class is evaluated on its direction u, for the subsets of its dilates
-    and their mirrors, and its first colliding fold must equal the lowest
-    degree of the planes through u.  Any mismatch raises InvariantError.
+    its representative is profiled once, for all of their subsets; a line
+    class is profiled on its direction u, for the subsets of its dilates and
+    their mirrors.  Both profiles are checked by _class_profile.
     Violations name explicit subsets: when a representative violates, its
     plane is walked again and the translates of each of its one-plane points
-    are evaluated at weight 0; when a direction violates, the translates of
+    are profiled, uncounted; when a direction violates, the translates of
     its dilates and of their mirrors are.
     """
     q, k, h_cap, planes, lines = args
     evaluator = _SetEvaluator(k, h_cap)
     tally = _ShardTally(h_cap)
     for r, w, representative, weight in planes:
-        found = evaluator.evaluate((0,) + representative, tally, weight)
-        closed = _closed_form(k, w, h_cap)
-        if found.sizes != closed:
-            raise InvariantError(
-                f"sizes {found.sizes} of {(0,) + representative}, on plane {r} "
-                f"only, differ from its closed form {closed}"
-            )
-        v = (-sum(r),) + r
-        pair = {tuple(max(c, 0) for c in v), tuple(max(-c, 0) for c in v)}
-        comps = compositions_table(w, k)
-        if [{comps[i] for i in idxs} for idxs in found.groups.values()] != [pair]:
-            raise InvariantError(
-                f"collisions of {(0,) + representative} at fold {w} are not the "
-                f"one pair {sorted(pair)} of its plane {r}"
-            )
+        found = _class_profile(evaluator, (0,) + representative, (r, w), tally)
+        evaluator.count(found, tally, weight)
         if found.violations:
             # every direction through r comes from a slice of degree >= w
             directions = {u for u, _, _ in _relation_lines(h_cap, w)} if k == 4 else set()
@@ -407,12 +449,8 @@ def _plane_shard(args: tuple[int, int, int, tuple, tuple]) -> _ShardTally:
                 if _direction(d) not in directions:
                     _keep_violations(evaluator, q, d, tally)
     for u, weight, lowest in lines:
-        found = evaluator.evaluate((0,) + u, tally, weight)
-        if found.first != lowest:
-            raise InvariantError(
-                f"first collision of {(0,) + u} at fold {found.first}, but its "
-                f"lowest relation plane has degree {lowest}"
-            )
+        found = _class_profile(evaluator, (0,) + u, lowest, tally)
+        evaluator.count(found, tally, weight)
         if found.violations:
             for t in range(1, (q - 1) // u[-1] + 1):
                 d = tuple(t * c for c in u)

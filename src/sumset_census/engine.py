@@ -26,15 +26,21 @@ through the validating public functions.
 The relation-plane walk (_relation_planes, _plane_points) lists the gap
 patterns on which a given disjoint-support relation x . A == y . A holds,
 along arithmetic progressions (_plane_progressions) that _plane_weight sums
-in closed form, without the walk.  _relation_lines lists, for 4-sets, the
-directions where two planes meet, which hold every pattern on more than one
-plane, with the planes through each; it joins one slice per degree w
-(_line_slice), the crossings of the planes of degree w with those of degree
-at most w.  From both, _plane_classes builds the table the census and the
-full k <= 4 lemma sweeps read: one class per plane and per direction, each
-of one profile and a closed-form subset count.  The table is built by
-degree: the census reads degrees 2..h_cap, and a lemma sweep at order h
-degree h + 1 alone, which crosses, weighs and walks only its own slice.
+in closed form, without the walk.  Only an ordered plane holds a gap vector
+(_ordered): writing d_i = e_1 + ... + e_i with every step e_j >= 1 gives
+r . d = sum_j e_j * S_j, where S_j = r_j + ... + r_{k-1} are the suffix sums
+of r.  When they share one sign this sum is nonzero for every d, whatever q
+is; when they take both, some steps weigh a negative suffix sum against a
+positive one and give a point, at every large enough q.  _relation_lines
+lists, for 4-sets, the directions where two planes meet, which hold every
+pattern on more than one plane, with the planes through each; it joins one
+slice per degree w (_line_slice), the crossings of the ordered planes of
+degree w with those of degree at most w.  From both, _plane_classes builds
+the table the census and the full k <= 4 lemma sweeps read: one class per
+plane and per direction, each of one profile and a closed-form subset
+count.  The table is built by degree: the census reads degrees 2..h_cap,
+and a lemma sweep at order h degree h + 1 alone, which crosses, weighs and
+walks only its own slice.
 """
 
 from __future__ import annotations
@@ -317,11 +323,12 @@ def _line_slice(w: int) -> tuple[tuple[tuple[int, int, int], tuple, int], ...]:
     through u while it is crossed with the planes after it, so that pass
     lists them all, by degree, and gives the lowest degree.  A direction
     whose planes reach a higher degree is listed with its planes of degree
-    <= w only.  Planes of one sign hold no gap vector and take no part.
+    <= w only.  With d_i = e_1 + ... + e_i, every e_j >= 1, r . d is the
+    sum of e_j * S_j over the suffix sums S_j = r_j + ... + r_3 of r, so a
+    plane whose suffix sums share one sign (not _ordered) holds no gap
+    vector, so no direction, and takes no part.
     """
-    degree = {
-        r: v for v in range(2, w + 1) for r in _relation_planes(4, v) if min(r) < 0 < max(r)
-    }
+    degree = {r: v for v in range(2, w + 1) for r in _relation_planes(4, v) if _ordered(r)}
     below = [r for r, v in degree.items() if v < w]
     top = [r for r, v in degree.items() if v == w]
     rank = {r: i for i, r in enumerate(degree)}  # by degree, then r
@@ -343,6 +350,13 @@ def _line_slice(w: int) -> tuple[tuple[tuple[int, int, int], tuple, int], ...]:
             through.sort(key=rank.__getitem__)
             lines[u] = (u, tuple(through), degree[through[0]])
     return tuple(lines[u] for u in sorted(lines))
+
+
+def _ordered(r: Sequence[int]) -> bool:
+    """Whether the plane r . d == 0 holds a gap vector 0 < d_1 < ... <
+    d_{k-1}: its suffix sums r_j + ... + r_{k-1} take both signs."""
+    sums = list(itertools.accumulate(reversed(r)))
+    return min(sums) < 0 < max(sums)
 
 
 @lru_cache(maxsize=None)
@@ -378,8 +392,8 @@ def _plane_progressions(
     per head, the coordinates before p.  Prefixes come in lexicographic
     order, and each progression ascends in d_{j-1}.  r must not be all zero.
     """
-    if min(r) >= 0 or max(r) <= 0:
-        return  # a nonzero r of one sign has r . d != 0 for every d > 0
+    if not _ordered(r):
+        return
     j = max(i for i, c in enumerate(r) if c)
     sign = 1 if r[j] > 0 else -1
     r_j, r_s = sign * r[j], sign * r[j - 1]

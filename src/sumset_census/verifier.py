@@ -16,11 +16,14 @@ A sweep reads the census's own tally up to fold h + 1,
 census._order_tally, which evaluates each class of subsets once, on one
 representative, as the census does, and names the subsets of a violating
 class; the instances are its count of order h.  The last (q, k, h) is
-kept, so repno after ortho evaluates nothing again.  The budgets are
-checked at the start of every sweep; code that rebinds what a sweep reads
-clears census._order_tally first.  ddp needs no subsets: its dot products
-are the sums of h + 1 elements of [1..q] with at most four distinct
-values, built by a four-round DP over values (_dot_products).
+kept, so repno after ortho evaluates nothing again, and at k <= 4 each
+class profile is kept for every q (census._class_profiles), so a later q
+profiles only the classes no earlier q did.  The budgets are checked at the
+start of every sweep; code that rebinds what a sweep reads clears
+census._order_tally and census._class_profiles first.  ddp needs no
+subsets: its dot products are the sums of h + 1 elements of [1..q] with at
+most four distinct values, built by a four-round DP over values
+(_dot_products).
 
 Verified statements, at desk scale:
   ortho      colliding vector pairs at the first colliding order have
@@ -129,7 +132,9 @@ def _violations_by_set(q: int, k: int, h: int, kind: type) -> tuple[int, list, d
     """(instances, violations of kind at order h, work) over the k-subsets
     of [1..q] of B_h order exactly h, from census._order_tally.  Raises
     ValueError when there is no such subset, so an empty sweep cannot pass.
-    work counts what this call did: classes evaluated, evaluations reused."""
+    work counts what this call did: classes read (patterns_classified), the
+    profiles of those it computed rather than read from an earlier q
+    (profiles), and classes of a tally kept from the sweep before (reused)."""
     # the tally calls the unchecked engine bodies, so the budgets are checked
     # on every sweep: every set lies in [1..q] and is scanned at fold h + 1
     require_compositions(
@@ -140,7 +145,8 @@ def _violations_by_set(q: int, k: int, h: int, kind: type) -> tuple[int, list, d
     misses = _order_tally.cache_info().misses
     tally = _order_tally(q, k, h)
     if _order_tally.cache_info().misses > misses:
-        work["patterns_classified"] = work["profiles"] = tally.evaluations
+        work["patterns_classified"] = tally.evaluations
+        work["profiles"] = tally.profiles
     else:
         work["reused"] = tally.evaluations
     instances = tally.bstar[h]

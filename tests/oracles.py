@@ -13,7 +13,9 @@ per-subset ortho, repno and ddp sweeps (the package reads plane classes or
 walks gap patterns), the pairwise disjoint-support scan (the package counts
 by support mask), the gap-pattern pair count (the package walks one
 relation plane), and the crossing of all relation planes at once (the
-package crosses them one degree slice at a time).
+package crosses them one degree slice at a time).  plane_has_point finds
+by search whether a relation plane holds a gap vector, which the package
+reads off the signs of the plane's suffix sums.
 """
 
 from collections import Counter
@@ -161,6 +163,21 @@ def plain_relation_lines(h_cap):
                     met.setdefault(u, [w, a]).append(b)
         through.update(met)
     return tuple((u, tuple(met[1:]), met[0]) for u, met in sorted(through.items()))
+
+
+def plane_has_point(r, q):
+    """Whether some gap vector 0 < d_1 < ... < d_{k-1} < q has r . d == 0:
+    every d_1 < ... < d_{k-2} is tried, and d_{k-1} solved for from
+    r . d == 0, or any d_{k-1} taken when its coefficient is 0."""
+    *head_r, last = r
+    for head in itertools.combinations(range(1, q), len(head_r)):
+        c = sum(a * b for a, b in zip(head_r, head))
+        if last == 0:
+            if c == 0 and head[-1] < q - 1:
+                return True
+        elif c % last == 0 and head[-1] < -c // last < q:
+            return True
+    return False
 
 
 def plain_census_shard(q, k, h_cap, shard_index=0, shards=1):

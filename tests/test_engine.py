@@ -28,6 +28,7 @@ from oracles import (
     folded_sizes,
     order_of,
     plain_relation_lines,
+    plane_has_point,
     representation_counter,
 )
 
@@ -386,6 +387,15 @@ class TestRelationPlanes:
             assert sum(v for v in relation if v > 0) == w
             assert math.gcd(*r) == 1
             assert next(c for c in r if c) > 0
+
+    @pytest.mark.parametrize("k,w_max,q", [(3, 6, 60), (4, 6, 60), (5, 5, 30)])
+    def test_ordered_planes_are_those_with_a_point(self, k, w_max, q):
+        # the suffix-sum rule against a search, on every plane: at these q
+        # an ordered plane already has a point
+        planes = [r for w in range(2, w_max + 1) for r in engine._relation_planes(k, w)]
+        assert [engine._ordered(r) for r in planes] == [plane_has_point(r, q) for r in planes]
+        assert any(engine._ordered(r) for r in planes)
+        assert not all(engine._ordered(r) for r in planes if min(r) < 0 < max(r))
 
     @given(
         st.lists(st.integers(-6, 6), min_size=1, max_size=4).filter(any),

@@ -313,8 +313,8 @@ class TestCandidateSource:
     sweep reports."""
 
     def test_work_counts(self):
-        # a full k = 4 sweep profiles each class once: at h = 2, 15 planes
-        # of degree 3 and 11 line classes, whatever the q
+        # a full k = 4 sweep reads each class once: at h = 2, 15 planes of
+        # degree 3 and 11 line classes, whatever the q
         verdict = verify_ortho(20, 2)
         assert verdict.work == {
             "patterns_classified": 26,
@@ -322,9 +322,11 @@ class TestCandidateSource:
             "reused": 0,
         }
         assert "work" not in json.loads(verdict.to_json())
+        # q = 30 has the same representatives and directions, whose
+        # profiles q = 20 computed: it adds their weights only
         assert verify_ortho(30, 2).work == {
             "patterns_classified": 26,
-            "profiles": 26,
+            "profiles": 0,
             "reused": 0,
         }
         # k = 5 reads the census's per-pattern pass: one evaluation per
@@ -427,8 +429,9 @@ class TestSharedClassification:
         assert excinfo.value.required == 3 * (q - 1) + 1
 
     def test_interrupted_classification_is_not_reused(self, monkeypatch):
-        # a failure inside the class profiles keeps none of them: the next
-        # sweep at the same (q, h) profiles every class again
+        # a failure inside the class profiles keeps no tally: the next sweep
+        # at the same (q, h) reads every class again, and profiles those
+        # whose profile the failure cut short
         class Interrupted(Exception):
             pass
 
@@ -440,12 +443,17 @@ class TestSharedClassification:
             return real(elems, h)
 
         assert verify_repno(16, 4, 2).work["profiles"] == 26
+        # q = 20 would read all 26 profiles of q = 16 and scan nothing, so
+        # the patch clears what a sweep reads, as any rebinding must
+        census._order_tally.cache_clear()
+        census._class_profiles.clear()
         monkeypatch.setattr(census, "_collision_scan", interrupted)
         with pytest.raises(Interrupted):
             verify_repno(20, 4, 2)
         monkeypatch.undo()
         verdict = verify_repno(20, 4, 2)
-        assert verdict.work == {"patterns_classified": 26, "profiles": 26, "reused": 0}
+        # the 10 profiles checked before the failure are kept, one scan each
+        assert verdict.work == {"patterns_classified": 26, "profiles": 16, "reused": 0}
         assert verdict.to_json() == plain_repno(20, 4, 2).to_json()
 
 
@@ -519,21 +527,26 @@ class TestFaultInjection:
 
     def test_patch_after_a_warm_classification(self, monkeypatch):
         # the order tally of the last (q, k, h) is keyed on nothing but
-        # (q, k, h), so a patch of the scan clears it on the way in, and
-        # again on the way out so the patch's tally does not outlive it;
-        # the patched classes violate and name their own subsets
+        # (q, k, h), and a class profile on nothing the scan is, so a patch
+        # of the scan clears both on the way in, and again on the way out so
+        # the patch's profiles do not outlive it; the patched classes
+        # violate and name their own subsets
+        def clear():
+            census._order_tally.cache_clear()
+            census._class_profiles.clear()
+
         assert verify_ortho(20, 2).passed
-        census._order_tally.cache_clear()
+        clear()
         monkeypatch.setattr(census, "_collision_scan", _first_vector_twice)
         verdict = verify_ortho(20, 2)
         assert not verdict.passed
         assert verdict.work == {"patterns_classified": 26, "profiles": 26, "reused": 0}
         _assert_same_verdict(verdict, plain_ortho(20, 2))
         monkeypatch.undo()
-        census._order_tally.cache_clear()
+        clear()
         verdict = verify_ortho(20, 2)
         assert verdict.passed
-        assert verdict.work["reused"] == 0
+        assert verdict.work == {"patterns_classified": 26, "profiles": 26, "reused": 0}
 
 
 def test_kernel_and_enumerated_sizes_must_agree(monkeypatch):
